@@ -171,7 +171,7 @@ def main(argv=None):
     for g in PLANE.lines:
         if model.u.index not in g.points:
             continue
-        rep = verify_extension_formula(model, g, autos)
+        rep = verify_extension_formula(model, g)
         check(
             rep.alpha_count == 432 and rep.checks == 1296 and not rep.failures,
             f"line #{g.index}: 432 affinities, 1296 checks, 0 failures,"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import checks, design, designfile, symmetry
@@ -79,20 +80,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except designfile.DesignFileError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
+    fields, lines, violation = _check_document(doc)
+    if _resolve_format(args) == "structured":
+        payload = {"command": "verify", **fields}
+        if violation is not None:
+            payload["violation"] = violation
+        _emit(_json_report(payload), args.out)
+    else:
+        print("\n".join(lines))
+    return 0 if violation is None else 1
+
+
+def _check_document(doc: designfile.DesignDocument) -> tuple[dict, list[str], dict | None]:
+    """Verify a parsed design: report fields, table lines, and the violation or None."""
     u = PLANE.points[doc.u]
     w = tuple(p.index for p in PLANE.points if p.index != doc.u)
     try:
         structure = checks.IncidenceStructure(w, doc.blocks)
     except ValueError as e:
-        print(f"VIOLATION: {e}")
-        return 1
+        return {}, [f"VIOLATION: {e}"], {"kind": "structure", "reason": str(e)}
     result = checks.verify_t_design(structure, 5)
     if isinstance(result, checks.DesignViolation):
-        print(
-            f"VIOLATION: {result.kind} at {result.witness}: "
-            f"got {result.count}, expected {result.expected}"
-        )
-        return 1
+        v = result
+        text = f"VIOLATION: {v.kind} at {v.witness}: got {v.count}, expected {v.expected}"
+        return {}, [text], asdict(v)
     cascade = checks.lambda_cascade(result)
     witness_bad = []
     for b, rec in zip(doc.blocks, doc.classes):
@@ -104,26 +115,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             continue
         if rederived != tuple(sorted(b)):
             witness_bad.append((b, f"witness re-derives {rederived}"))
-    fmt = _resolve_format(args)
-    if fmt == "structured":
-        payload = {
-            "command": "verify",
-            "design": [result.t, result.v, result.k, result.lambda_],
-            "lambda_cascade": list(cascade),
-            "witnesses_ok": not witness_bad,
-        }
-        _emit(_json_report(payload), getattr(args, "out", None))
-    else:
-        print(f"design: {result.t}-({result.v},{result.k},{result.lambda_})")
-        print("lambda cascade: " + " ".join(str(x) for x in cascade))
-        print(f"block witnesses: {len(doc.blocks) - len(witness_bad)}/{len(doc.blocks)} ok")
+    fields = {
+        "design": [result.t, result.v, result.k, result.lambda_],
+        "lambda_cascade": list(cascade),
+        "witnesses_ok": not witness_bad,
+    }
+    lines = [
+        f"design: {result.t}-({result.v},{result.k},{result.lambda_})",
+        "lambda cascade: " + " ".join(str(x) for x in cascade),
+        f"block witnesses: {len(doc.blocks) - len(witness_bad)}/{len(doc.blocks)} ok",
+    ]
     if witness_bad:
         b, reason = witness_bad[0]
-        print(f"VIOLATION: block {b}: {reason}")
-        return 1
-    if fmt != "structured":
-        print("OK")
-    return 0
+        violation = {"kind": "witness", "block": list(b), "reason": reason}
+        return fields, lines + [f"VIOLATION: block {b}: {reason}"], violation
+    return fields, lines + ["OK"], None
 
 
 def cmd_block(args: argparse.Namespace) -> int:
@@ -193,7 +199,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     counts: dict[str, int] = {}
     records = []
     for b, cls_ in zip(model.blocks, model.classes):
-        rec = designfile._class_record(cls_)
+        rec = designfile.class_record(cls_)
         counts[rec.kind] = counts.get(rec.kind, 0) + 1
         records.append((b, rec))
     if _resolve_format(args) == "structured":

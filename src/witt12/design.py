@@ -276,18 +276,18 @@ def solve_block_through(
         cert = stacked
     determinant = det(cert)
     kernel_stacked = null_space(stacked)
-    dimension = len(null_space(system))
+    kernel = null_space(system)
+    dimension = len(kernel)
     if kernel_stacked:
         form = QuadraticForm(kernel_stacked[0])
         assert evaluate(form, u) == 0
         assert determinant == 0
         case = "B"
     else:
-        kernel = null_space(system)
-        assert len(kernel) == 1
+        assert dimension == 1
         form = QuadraticForm(kernel[0])
         assert evaluate(form, u) != 0
-        assert determinant != 0 and dimension == 1
+        assert determinant != 0
         case = "A"
     block = block_of_form(form, u, plane)
     assert block is not None and set(pts) <= set(block)

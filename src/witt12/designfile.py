@@ -51,7 +51,7 @@ class DesignDocument:
     classes: tuple[ClassRecord, ...]
 
 
-def _class_record(cls_: BlockClass) -> ClassRecord:
+def class_record(cls_: BlockClass) -> ClassRecord:
     if isinstance(cls_, ConicExterior):
         return ClassRecord(kind=KIND_CONIC, form=cls_.form.coeffs)
     if isinstance(cls_, SymmetricDifference):
@@ -72,7 +72,7 @@ def document_from_model(m: WittModel) -> DesignDocument:
         points=tuple(p.coord_str() for p in m.plane.points),
         u=m.u.index,
         blocks=m.blocks,
-        classes=tuple(_class_record(c) for c in m.classes),
+        classes=tuple(class_record(c) for c in m.classes),
     )
 
 

@@ -5,16 +5,17 @@ Collineations are invertible 3x3 matrices over GF(3) modulo scalars
 row vectors.  Canonical representative: first nonzero entry 1 in
 row-major order.
 
-The design's automorphism group is found by exhaustive search over
-point-image assignments.  Images of the first five points range over
-all ordered 5-tuples; every later image is forced, because a candidate
+Design automorphisms come from one forcing engine that completes the
+images of a 5-point frame.  Every later image is forced, because an
 automorphism must send the unique block over five assigned points to
 the unique block over their images, pinning the sixth point.  Where the
 forcing chain stalls (the assigned points fill out a single block) the
-search branches over all unused images.  Survivors are finally checked
-against all 132 blocks, so the forcing is only ever used to discard
-candidates, never to admit one.  The layers are evaluated with numpy
-over all candidates at once.
+engine branches over all unused images.  Survivors are finally checked
+against all 132 blocks, so the forcing only ever discards candidates,
+never admits one.  Fed every ordered 5-tuple, the engine enumerates the
+whole group; fed the images of five affine points under an affinity
+(Remark 3), it yields the one automorphism extending it, since the group
+is sharply 5-transitive.  It runs with numpy over all rows at once.
 
 Affinities of the 9-point residue of a line are enumerated by a small
 backtracking search over point images that requires every completed
@@ -30,9 +31,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checks import affine_residue
 from .design import WittModel
-from .gf3 import MOD, Mat, mat_inv, mat_mul, vec_mat
-from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
+from .gf3 import MOD, Mat, mat_inv, mat_mul, solve, vec_mat
+from .plane import PLANE, PlaneModel, ProjLine, ProjPoint, collinear
 
 Perm = tuple[int, ...]
 
@@ -137,66 +139,59 @@ def is_design_automorphism(m: WittModel, perm: Perm) -> bool:
     )
 
 
-def _forcing_program(m: WittModel) -> list[tuple]:
+def _forcing_program(frame: Sequence[int], sixth: np.ndarray) -> list[tuple]:
     """Static schedule: which image is forced next, and from which five points."""
-    sixth = {}
-    for b in m.local_blocks:
-        for x in b:
-            rest = tuple(y for y in b if y != x)
-            sixth[frozenset(rest)] = x
-    assigned = list(range(5))
-    aset = set(assigned)
+    aset = set(frame)
     program: list[tuple] = []
     while len(aset) < 12:
         step = None
         for sub in combinations(sorted(aset), 5):
-            x = sixth[frozenset(sub)]
+            x = int(sixth[sum(1 << s for s in sub)])
             if x not in aset:
                 step = ("force", sub, x)
                 break
         if step is None:
-            x = min(set(range(12)) - aset)
-            step = ("branch", x)
+            step = ("branch", min(set(range(12)) - aset))
         program.append(step)
         aset.add(step[-1])
     return program
 
 
-def all_automorphisms(m: WittModel) -> np.ndarray:
-    """Every permutation of W preserving the block set, as rows of an array.
+def complete_automorphisms(
+    m: WittModel, frame: Sequence[int], images: np.ndarray | Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Every automorphism sending the frame to one row of images, as array rows.
 
-    Exhaustive: any block-preserving permutation restricts to one of the
-    candidate 5-prefixes, survives each necessary forcing step, and
-    passes the final full block check; conversely only permutations
-    passing the full check are returned.  Rows are sorted
-    lexicographically.
+    frame holds five distinct W-positions and images an (n, 5) array of
+    their candidate images.  Exhaustive: any block-preserving
+    permutation that maps the frame to some row survives each necessary
+    forcing step and passes the final full block check; conversely only
+    permutations passing the full check are returned.  Surviving rows
+    keep the order of the image rows they extend.
     """
+    frame = tuple(frame)
+    images = np.asarray(images, dtype=np.int16).reshape(-1, 5)
+    if len(set(frame) & set(range(12))) != 5 or ((images < 0) | (images >= 12)).any():
+        raise ValueError("the frame must be five distinct points of W, and images lie in W")
+    # bitmask tables: is_block[mask of a block], and sixth[mask of five
+    # points] is the sixth point of their block (-1 off 5-sets)
     is_block = np.zeros(1 << 12, dtype=bool)
-    for b in m.local_blocks:
-        is_block[sum(1 << x for x in b)] = True
     sixth = np.full(1 << 12, -1, dtype=np.int16)
     for b in m.local_blocks:
         bm = sum(1 << x for x in b)
+        is_block[bm] = True
         for x in b:
             sixth[bm ^ (1 << x)] = x
+    img = np.full((len(images), 12), -1, dtype=np.int16)
+    img[:, frame] = images
+    used = np.bitwise_or.reduce(1 << images, axis=1)
+    if (sixth[used] < 0).any():  # sixth is -1 unless the mask holds five points
+        raise ValueError("every image row must be five distinct points of W")
 
-    prefixes = np.fromiter(
-        (x for tup in permutations(range(12), 5) for x in tup), dtype=np.int16
-    ).reshape(-1, 5)
-    n = len(prefixes)
-    img = np.full((n, 12), -1, dtype=np.int16)
-    img[:, :5] = prefixes
-    used = np.zeros(n, dtype=np.int16)
-    for c in range(5):
-        used |= 1 << prefixes[:, c]
-
-    for step in _forcing_program(m):
+    for step in _forcing_program(frame, sixth):
         if step[0] == "force":
             _, sub, x = step
-            mask = np.zeros(len(img), dtype=np.int16)
-            for s in sub:
-                mask |= 1 << img[:, s]
-            forced = sixth[mask]
+            forced = sixth[np.bitwise_or.reduce(1 << img[:, sub], axis=1)]
             assert (forced >= 0).all()
             keep = ((used >> forced) & 1) == 0
             img, used, forced = img[keep], used[keep], forced[keep]
@@ -212,11 +207,21 @@ def all_automorphisms(m: WittModel) -> np.ndarray:
 
     ok = np.ones(len(img), dtype=bool)
     for b in m.local_blocks:
-        bm = np.zeros(len(img), dtype=np.int16)
-        for x in b:
-            bm |= 1 << img[:, x]
-        ok &= is_block[bm]
-    result = img[ok]
+        ok &= is_block[np.bitwise_or.reduce(1 << img[:, b], axis=1)]
+    return img[ok]
+
+
+def all_automorphisms(m: WittModel) -> np.ndarray:
+    """Every permutation of W preserving the block set, as rows of an array.
+
+    The engine completes every ordered 5-tuple of images of positions
+    0..4, so no automorphism is missed.  Rows are sorted
+    lexicographically.
+    """
+    prefixes = np.fromiter(
+        (x for tup in permutations(range(12), 5) for x in tup), dtype=np.int16
+    ).reshape(-1, 5)
+    result = complete_automorphisms(m, range(5), prefixes)
     order = np.lexsort(tuple(result[:, c] for c in range(11, -1, -1)))
     return result[order]
 
@@ -299,14 +304,11 @@ def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, in
     return {x.index: u.index, u.index: x.index, y: z, z: y}
 
 
-def _affine_lines_local(plane: PlaneModel, g: ProjLine) -> tuple[tuple[int, ...], list]:
-    pts = tuple(p.index for p in plane.points if p.index not in g.points)
-    pos = {p: i for i, p in enumerate(pts)}
-    lines = []
-    for ln in plane.lines:
-        if ln.index != g.index:
-            lines.append(tuple(sorted(pos[x] for x in ln.points if x in pos)))
-    return pts, lines
+def _residue_lines(plane: PlaneModel, g: ProjLine) -> tuple[tuple[int, ...], list]:
+    """The off-line points of g and its 12 cut lines in local positions 0..8."""
+    residue = affine_residue(plane, g)
+    pos = {p: i for i, p in enumerate(residue.points)}
+    return residue.points, [tuple(pos[x] for x in ln) for ln in residue.blocks]
 
 
 def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
@@ -317,7 +319,7 @@ def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
     a cut line.  The check is a necessary condition, so no
     line-preserving permutation is ever pruned.
     """
-    pts, lines = _affine_lines_local(plane, g)
+    pts, lines = _residue_lines(plane, g)
     lineset = {frozenset(ln) for ln in lines}
     complete_at: list[list[tuple[int, ...]]] = [[] for _ in range(9)]
     for ln in lines:
@@ -347,8 +349,6 @@ def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
 
 
 def _general_position_frame(plane: PlaneModel, idxs: Sequence[int]) -> tuple[int, ...]:
-    from .plane import collinear
-
     for quad in combinations(idxs, 4):
         pts = [plane.points[i] for i in quad]
         if not any(collinear(a, b, c) for a, b, c in combinations(pts, 3)):
@@ -358,8 +358,6 @@ def _general_position_frame(plane: PlaneModel, idxs: Sequence[int]) -> tuple[int
 
 def _frame_matrix(plane: PlaneModel, frame: Sequence[int]) -> Mat:
     # rows lambda_i * rep(s_i) map the standard frame onto s1..s4
-    from .gf3 import solve
-
     v1, v2, v3, v4 = (plane.points[i].rep for i in frame)
     cols = Mat.from_rows([v1, v2, v3]).transpose()
     lam = solve(cols, v4)
@@ -378,30 +376,28 @@ def collineation_from_frames(
     return Collineation.from_matrix(mat_mul(mat_inv(a), b).rows)
 
 
-def _beta_by_restriction(
-    m: WittModel, affine_pts: Sequence[int], automorphisms: np.ndarray
-) -> dict[Perm, Perm]:
-    """Map each 9-point restriction to the unique automorphism inducing it."""
-    wcols = [m.w_position[p] for p in affine_pts]
-    sub = automorphisms[:, wcols]
-    local_of_w = np.full(12, -1, dtype=np.int64)
-    for i, p in enumerate(affine_pts):
-        local_of_w[m.w_position[p]] = i
-    valid = (local_of_w[sub] >= 0).all(axis=1)
-    table: dict[Perm, Perm] = {}
-    for row_idx in np.nonzero(valid)[0]:
-        key = tuple(int(x) for x in local_of_w[sub[row_idx]])
-        assert key not in table, "two automorphisms share a residue restriction"
-        table[key] = tuple(int(x) for x in automorphisms[row_idx])
-    return table
+def _extensions(
+    m: WittModel, pts: Sequence[int], alphas: Sequence[Perm]
+) -> list[Perm | None]:
+    """For each affinity, the automorphism completing its images of the
+    first five affine points, or None unless it agrees on all nine."""
+    wpos = [m.w_position[p] for p in pts]
+    wanted = [tuple(wpos[a] for a in alpha) for alpha in alphas]
+    completed: dict[tuple[int, ...], Perm] = {}
+    for row in complete_automorphisms(m, wpos[:5], [w[:5] for w in wanted]):
+        beta = tuple(int(x) for x in row)
+        key = tuple(beta[x] for x in wpos[:5])
+        if key in completed:
+            raise AssertionError("two automorphisms share the images of five points")
+        completed[key] = beta
+    out: list[Perm | None] = []
+    for w in wanted:
+        beta = completed.get(w[:5])
+        out.append(beta if beta is not None and tuple(beta[x] for x in wpos) == w else None)
+    return out
 
 
-def extend_affinity(
-    m: WittModel,
-    g: ProjLine,
-    alpha: Perm,
-    automorphisms: np.ndarray | None = None,
-) -> tuple[Collineation, Perm]:
+def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineation, Perm]:
     """The unique collineation and design automorphism extending an affinity.
 
     alpha maps positions 0..8 of the off-line points (ascending plane
@@ -411,7 +407,7 @@ def extend_affinity(
     plane = m.plane
     if m.u.index not in g.points:
         raise ValueError("the line must pass through U")
-    pts, lines = _affine_lines_local(plane, g)
+    pts, lines = _residue_lines(plane, g)
     if sorted(alpha) != list(range(9)):
         raise ValueError("alpha must be a permutation of 0..8")
     lineset = {frozenset(ln) for ln in lines}
@@ -422,10 +418,9 @@ def extend_affinity(
     kappa = collineation_from_frames(frame, dst, plane)
     pm = kappa.point_map(plane)
     assert all(pm[p] == pts[alpha[i]] for i, p in enumerate(pts))
-    if automorphisms is None:
-        automorphisms = all_automorphisms(m)
-    table = _beta_by_restriction(m, pts, automorphisms)
-    beta = table[alpha]
+    (beta,) = _extensions(m, pts, [alpha])
+    if beta is None:
+        raise AssertionError("no design automorphism extends the affinity")
     return kappa, beta
 
 
@@ -446,32 +441,27 @@ class ExtensionReport:
     divergence_example: tuple | None
 
 
-def verify_extension_formula(
-    m: WittModel, g: ProjLine, automorphisms: np.ndarray | None = None
-) -> ExtensionReport:
+def verify_extension_formula(m: WittModel, g: ProjLine) -> ExtensionReport:
     """For every affinity of the residue of g, check X^beta against the
     conjugated involution U^(kappa^-1 gamma_X kappa) for the three
     points X of g other than U."""
     plane = m.plane
     if m.u.index not in g.points:
         raise ValueError("the line must pass through U")
-    if automorphisms is None:
-        automorphisms = all_automorphisms(m)
-    pts, lines = _affine_lines_local(plane, g)
+    pts = affine_residue(plane, g).points
     alphas = affinities(plane, g)
-    table = _beta_by_restriction(m, pts, automorphisms)
+    betas = _extensions(m, pts, alphas)
     frame = _general_position_frame(plane, pts)
     others = sorted(set(g.points) - {m.u.index})
     failures: list[tuple] = []
     divergences = 0
     example = None
     checks = 0
-    for alpha in alphas:
+    for alpha, beta in zip(alphas, betas):
         dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
         kappa = collineation_from_frames(frame, dst, plane)
         pm = kappa.point_map(plane)
         pm_inv = kappa.inverse().point_map(plane)
-        beta = table.get(alpha)
         if beta is None:
             failures.append((alpha, None, None, None))
             continue

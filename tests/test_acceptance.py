@@ -147,12 +147,12 @@ def test_08_triple_derivations(model, lines_through_u):
           " and equal the affine residue")
 
 
-def test_09_extension_formula(model, lines_through_u, autos):
+def test_09_extension_formula(model, lines_through_u):
     from witt12.symmetry import verify_extension_formula
 
     total_div = 0
     for g in lines_through_u:
-        report = verify_extension_formula(model, g, autos)
+        report = verify_extension_formula(model, g)
         assert report.alpha_count == 432
         assert report.checks == 1296
         assert report.failures == ()

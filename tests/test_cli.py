@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 verification failure, 2 usage or
 parse error.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,11 @@ def test_verify_flags_a_tampered_block(capsys, tmp_path, design_file):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "VIOLATION" in out
+    code, out, _ = run(capsys, "verify", str(bad), "--format", "structured")
+    assert code == 1
+    report = json.loads(out)
+    assert report["violation"]["kind"] == "coverage"
+    assert len(report["violation"]["witness"]) == 5
 
 
 def test_verify_flags_u_inside_a_block(capsys, tmp_path, design_file):
@@ -90,6 +96,26 @@ def test_verify_flags_u_inside_a_block(capsys, tmp_path, design_file):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "VIOLATION" in out
+    code, out, _ = run(capsys, "verify", str(bad), "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["violation"]["kind"] == "structure"
+
+
+def test_verify_structured_reports_a_bad_witness(capsys, tmp_path, design_file):
+    doc = json.loads(design_file.read_text())
+    # a valid design whose first two witnesses re-derive each other's block
+    doc["classes"][0], doc["classes"][1] = doc["classes"][1], doc["classes"][0]
+    bad = tmp_path / "bad-witness.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(bad), "--format", "structured")
+    assert code == 1
+    report = json.loads(out)
+    assert report["witnesses_ok"] is False
+    assert report["violation"]["kind"] == "witness"
+    assert report["violation"]["block"] == doc["blocks"][0]
+    code, out, _ = run(capsys, "verify", str(bad))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("VIOLATION: block")
 
 
 def test_verify_rejects_truncation(capsys, tmp_path, design_file):
@@ -237,6 +263,44 @@ def test_remark3_report(capsys):
     assert code == 0
     assert "1296" in out
     assert "failures: 0" in out
+
+
+# sha256 of the structured stdout, pinned from the output of the
+# whole-group restriction lookup that remark3 used before it completed
+# each affinity from five images
+REMARK3_DIGESTS = {
+    ("#0", "#1"): "332d1a80dc6cce10ec0fccd93c4c5aead0f968790d94af4de0dba7b92bac7049",
+    ("#0", "#4"): "cc5fc7b8fac99be87d50fe4275a371b148fbcb253cf13cd0659a7f48663c5d26",
+    ("#0", "#7"): "314408c854b17caa30ce116b4b335fe3a9b47993cdf4fa1588daf51c612f0c7b",
+    ("#0", "#10"): "d36f356af659e1a570b6b60fe6e5785b6a4d32a2bcffdc2da1ee238f3e3c0394",
+    ("#4", "#0"): "c3dd941385793799f3b84059ba9cca211269fbec8d6c59f6890a31d89aef9550",
+    ("#4", "#1"): "797c81021b7d6440546041d3ff09e732db3c50a4da1871401f1958c00112332d",
+    ("#4", "#2"): "c0adef6326dcc609c033c0874a82ecaa852e83650918950583d5beba2e005139",
+    ("#4", "#3"): "94377b1595098791feab3ceda64ee2787a7ae3866f8894f0ecc8cdecc790a959",
+    ("#9", "#2"): "2dfe55394f2ce299a8b70022af1d5dce91d0d3fe43a5e783c9e0ed0416f53f99",
+    ("#9", "#5"): "7aac015817f4feb96f3d688fd848944ca5bc5e591ea321d1ea7618e996fa771a",
+    ("#9", "#9"): "656f59e81576f085fdd80b24102fbd28635d629431cc86c6736b4f0576681d52",
+    ("#9", "#10"): "65e87a08373f4dd68c27ab95bc47d9cb0bed21124340334c99bc0d8702082257",
+}
+
+AUT_U7_DIGEST = "ef92d89a556b20b12d0fe4665f17740cee07237599b4dc2a0b00cd6ce99dce36"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("u, line", sorted(REMARK3_DIGESTS))
+def test_remark3_structured_output_is_pinned(capsys, u, line):
+    code, out, _ = run(capsys, "remark3", "--u", u, "--line", line, "--format", "structured")
+    assert code == 0
+    assert sha256(out) == REMARK3_DIGESTS[u, line]
+
+
+def test_aut_structured_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "aut", "--u", "#7", "--format", "structured")
+    assert code == 0
+    assert sha256(out) == AUT_U7_DIGEST
 
 
 def test_remark3_rejects_line_off_u(capsys):

@@ -3,7 +3,9 @@
 The automorphism list is re-verified here with machinery the search
 never touches: a vectorized block-image comparison over all 95040
 candidates, and a full 9!-scan oracle for the affinity count of one
-line.  The group order and transitivity degree are pinned.
+line.  The group order and transitivity degree are pinned.  Each Remark 3
+extension, completed from five images, is checked against the full
+enumeration as the reference.
 """
 
 import itertools
@@ -12,12 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from witt12 import symmetry
+from witt12.design import construct
 from witt12.plane import PLANE, collinear
 from witt12.symmetry import (
     Collineation,
     affinities,
     all_collineations,
     collineation_from_frames,
+    complete_automorphisms,
     compose_perm,
     elliptic_involution,
     extend_affinity,
@@ -172,6 +177,24 @@ def test_generators_regenerate_the_group(summary, autos):
     assert closure == rows
 
 
+def test_engine_completes_a_frame_to_the_listed_automorphisms(model, autos):
+    # frame completion from another frame reaches the same rows as the
+    # whole-group enumeration from positions 0..4
+    frame = (11, 3, 7, 0, 5)
+    rows = np.asarray(autos[::997], dtype=np.int16)
+    completed = complete_automorphisms(model, frame, rows[:, list(frame)])
+    assert (completed == rows).all()
+
+
+def test_engine_rejects_repeated_points(model):
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 3), [[0, 1, 2, 3, 4]])
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 3]])
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 12]])
+
+
 def test_non_automorphism_is_rejected(model):
     # swapping two points inside one block but not its partner blocks
     p = list(identity_perm())
@@ -245,26 +268,93 @@ def test_elliptic_involution(model, lines_through_u):
         elliptic_involution(g, model.u, model.u)
 
 
-def test_extend_identity_affinity(model, lines_through_u, autos):
+def test_extend_identity_affinity(model, lines_through_u):
     g = lines_through_u[0]
-    kappa, beta = extend_affinity(model, g, identity_perm(9), autos)
+    kappa, beta = extend_affinity(model, g, identity_perm(9))
     assert kappa == Collineation.identity()
     assert beta == identity_perm()
 
 
-def test_extend_affinity_rejects_non_affinities(model, lines_through_u, autos):
+def test_extend_affinity_rejects_non_affinities(model, lines_through_u):
     g = lines_through_u[0]
     af = set(affinities(PLANE, g))
     bad = next(
         p for p in itertools.permutations(range(9)) if tuple(p) not in af
     )
     with pytest.raises(ValueError):
-        extend_affinity(model, g, tuple(bad), autos)
+        extend_affinity(model, g, tuple(bad))
 
 
-def test_extension_formula_on_every_line(model, lines_through_u, autos):
+def test_extend_affinity_against_the_whole_group(model, lines_through_u, autos):
+    # the beta from five forced images is the one row of the full
+    # enumeration that restricts to alpha on the nine affine points
+    weights = 12 ** np.arange(9, dtype=np.int64)
     for g in lines_through_u:
-        report = verify_extension_formula(model, g, autos)
+        wpos = [model.w_position[p.index] for p in PLANE.points if p.index not in g.points]
+        codes = np.asarray(autos[:, wpos], dtype=np.int64) @ weights
+        for alpha in affinities(PLANE, g):
+            _, beta = extend_affinity(model, g, alpha)
+            code = np.array([wpos[a] for a in alpha], dtype=np.int64) @ weights
+            (match,) = np.nonzero(codes == code)
+            assert len(match) == 1
+            assert tuple(int(x) for x in autos[match[0]]) == beta
+
+
+def test_extend_affinity_at_another_u():
+    m0 = construct(PLANE.points[0])
+    g = next(g for g in PLANE.lines if 0 in g.points and 4 not in g.points)
+    pts = [p.index for p in PLANE.points if p.index not in g.points]
+    for alpha in affinities(PLANE, g)[::37]:
+        kappa, beta = extend_affinity(m0, g, alpha)
+        assert is_design_automorphism(m0, beta)
+        pm = kappa.point_map()
+        for i, p in enumerate(pts):
+            assert pm[p] == pts[alpha[i]]
+            assert m0.w[beta[m0.w_position[p]]] == pts[alpha[i]]
+    _, beta = extend_affinity(m0, g, identity_perm(9))
+    assert beta == identity_perm()
+
+
+def test_remark3_never_enumerates_the_group(model, lines_through_u, monkeypatch):
+    def refuse(m):
+        raise AssertionError("the whole group was enumerated")
+
+    monkeypatch.setattr(symmetry, "all_automorphisms", refuse)
+    g = lines_through_u[2]
+    assert extend_affinity(model, g, identity_perm(9))[1] == identity_perm()
+    assert verify_extension_formula(model, g).failures == ()
+
+
+def test_two_completions_of_one_image_row_raise(model, lines_through_u, monkeypatch):
+    engine = symmetry.complete_automorphisms
+    monkeypatch.setattr(
+        symmetry, "complete_automorphisms", lambda *a: np.repeat(engine(*a), 2, axis=0)
+    )
+    with pytest.raises(AssertionError):
+        extend_affinity(model, lines_through_u[0], identity_perm(9))
+
+
+def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_u, monkeypatch):
+    g = lines_through_u[0]
+    wpos = [model.w_position[p.index] for p in PLANE.points if p.index not in g.points]
+    a, b = wpos[5], wpos[6]  # affine points outside the five-point frame
+    engine = symmetry.complete_automorphisms
+
+    def swapped(*args):
+        rows = engine(*args)
+        rows[:, [a, b]] = rows[:, [b, a]]
+        return rows
+
+    monkeypatch.setattr(symmetry, "complete_automorphisms", swapped)
+    report = verify_extension_formula(model, g)
+    assert report.checks == 0
+    assert len(report.failures) == 432
+    assert all(f[1:] == (None, None, None) for f in report.failures)
+
+
+def test_extension_formula_on_every_line(model, lines_through_u):
+    for g in lines_through_u:
+        report = verify_extension_formula(model, g)
         assert report.alpha_count == 432
         assert report.checks == 1296
         assert report.failures == ()
@@ -272,7 +362,7 @@ def test_extension_formula_on_every_line(model, lines_through_u, autos):
         assert report.divergence_example is not None
 
 
-def test_extension_formula_requires_line_through_u(model, autos):
+def test_extension_formula_requires_line_through_u(model):
     off = next(g for g in PLANE.lines if model.u.index not in g.points)
     with pytest.raises(ValueError):
-        verify_extension_formula(model, off, autos)
+        verify_extension_formula(model, off)
