@@ -10,6 +10,9 @@ import json
 import pytest
 
 from witt12.cli import main
+from witt12.design import construct
+from witt12.designfile import document_from_model, render_structured
+from witt12.plane import PLANE
 
 
 def run(capsys, *argv):
@@ -285,6 +288,85 @@ REMARK3_DIGESTS = {
 
 AUT_U7_DIGEST = "ef92d89a556b20b12d0fe4665f17740cee07237599b4dc2a0b00cd6ce99dce36"
 
+# (exit code, sha256 of stdout) of each command line, pinned from the
+# output of the CLI before every subcommand went through one emitter;
+# {designN} is the canonical file at U = #N and {tamperedN} a copy with
+# one block broken, which verify rejects with a coverage violation
+OUTPUT_DIGESTS = {
+    "construct --u #4 --format table": (0, "b11419b7a057d3278e1a50b066466d58187a017c096a598f3601ed00bdafb469"),
+    "verify {design4} --format table": (0, "368f1d64d4472b78e49e0f1505fae147dc467d5bfbf2ab9c8b06ca88983ebafb"),
+    "verify {tampered4} --format table": (1, "56b06b08208fd260b7594824722f5eade357b258cc489fa9cbfd7e8601c5aafb"),
+    "block --method lookup --u #4 --format table #2 #3 #5 #6 #7": (0, "0c62906878d6ff3e38113dd86002b84f1e60cc39f22cbb07dbb1fe09e21ae8f6"),
+    "block --method lookup --u #4 --format table #2 #3 #8 #9 #11": (0, "b826ef66c2244196d144c50548f031cfdf36b4232ed7a80a039c70142d2b9bb4"),
+    "block --method solve --u #4 --format table #2 #3 #5 #6 #7": (0, "ab9a0e4b5f8d44a7e6182b16f85b35819d03af05e13b0f1c4d7e7aacca905c29"),
+    "block --method solve --u #4 --format table #2 #3 #8 #9 #11": (0, "d398515f84c36df16a487206e3e8fb2fff003644a203297b1cdce3d6813b1a36"),
+    "classify --u #4 --format table": (0, "283f49aefe09f319b76be45c213e89933931ed0a38e2811b156747368030e376"),
+    "classify --witnesses --u #4 --format table": (0, "8b61e1189ca8b0b220836ad3935dc1fc2275b60c45d959081fb85819908b1ef1"),
+    "derive --u #4 --line #0 --format table": (0, "29f65df0d0f4d38c407ca0415b0d1146ca509db4eb07160055d8cdbeb80388aa"),
+    "derive --u #4 --line #1 --format table": (0, "5dacb0db5e5161442f66a578059d382376ed99e71f878204a1cc67b227376906"),
+    "derive --u #4 --line #2 --format table": (0, "0c74bfb24131c94a65bfa09c3425566311a0f15e1585c909126bb7e39e90431e"),
+    "derive --u #4 --line #3 --format table": (0, "720f62638971b1d6bd06da791b6932d07274fc54c2df402c7d0ea320969e3db7"),
+    "construct --u #4 --format structured": (0, "8474b3404652582b2e38c53f4a2870a8e02d86cdf849e0e9486108227f5a8ddc"),
+    "verify {design4} --format structured": (0, "8d433f57d0fb8ddbcbdd919a9aab801bee463a8551cf3b592d26aa5b77e23da3"),
+    "verify {tampered4} --format structured": (1, "c572f12c164176995660c79e4e7485c629bd5d896e248aa8d8b18fed66ab9991"),
+    "block --method lookup --u #4 --format structured #2 #3 #5 #6 #7": (0, "94218df2675638c7c3c36d07642a774374220483401f2356d94fd405124b26a3"),
+    "block --method lookup --u #4 --format structured #2 #3 #8 #9 #11": (0, "e5e88e23bf2469822e9dba967f3ba916d21631484e785fd630d9a931c37890fb"),
+    "block --method solve --u #4 --format structured #2 #3 #5 #6 #7": (0, "ceffc94a0f6b2acd520646950a838f0dba9fc864d7440d6c89a31c2b57d77776"),
+    "block --method solve --u #4 --format structured #2 #3 #8 #9 #11": (0, "deadeaa9de21f1dc23f9ad9646d943ba0e5437ed0137f1bd277b57b36cf971c1"),
+    "classify --u #4 --format structured": (0, "2cd65b99fff7f68b3e9d85521e79e44ece7346c76670baf3b1e343b1892e74f3"),
+    "classify --witnesses --u #4 --format structured": (0, "d30c1c4f293edeac9e00f986b40cd6461db675c904f7c79dd666a72dde086773"),
+    "derive --u #4 --line #0 --format structured": (0, "ca242719a08d943c3b901009abc5b8f125e2139b3e32b570b42b1146bba663fb"),
+    "derive --u #4 --line #1 --format structured": (0, "01aad3eb526f6076ef9b4f674e92c92f137caee964dd5db66e8d85ee2d6047e6"),
+    "derive --u #4 --line #2 --format structured": (0, "0ae9652debe79e3f17e5da46ce41c61dc7e6415557ab3146adadef3a0983fec1"),
+    "derive --u #4 --line #3 --format structured": (0, "bae99d62fb44a35c87b0d3c76a9c927e79bfe8096593aec8bd7316ee17417d1c"),
+    "construct --u #9 --format table": (0, "0580530ccea344bd0e742dfcc818b947e98990826c284b72f4a004340f32baee"),
+    "verify {design9} --format table": (0, "368f1d64d4472b78e49e0f1505fae147dc467d5bfbf2ab9c8b06ca88983ebafb"),
+    "verify {tampered9} --format table": (1, "36e5c82d0011e87824f6514dbab1da56957242d2e1bd50f21eafdee6caf68799"),
+    "block --method lookup --u #9 --format table #0 #1 #2 #4 #5": (0, "cb553a438e816d30d60cf0ef5534583a76be7a58e8275902247331d550118917"),
+    "block --method lookup --u #9 --format table #0 #1 #2 #3 #4": (0, "404fa13bcf02d1115b5440664c6c4e83c2b78fbeb9ec876c45032c99435e03f4"),
+    "block --method solve --u #9 --format table #0 #1 #2 #4 #5": (0, "c111486c10f5825e8f31638de96c1e7d959d1da2c9c6973886509b76f2083d71"),
+    "block --method solve --u #9 --format table #0 #1 #2 #3 #4": (0, "222e2a6c5b0f1b992af96f7a631e1a7696ceca3f84e820b96953e3822ec9ce72"),
+    "classify --u #9 --format table": (0, "283f49aefe09f319b76be45c213e89933931ed0a38e2811b156747368030e376"),
+    "classify --witnesses --u #9 --format table": (0, "c3df125409753a27592a05270f5a8f2f276e47e4b4dfb96e94c6f09467aa6116"),
+    "derive --u #9 --line #2 --format table": (0, "3a0c0e0b61823309e32f4e8ab17507447303f2eb2312189dadf176a1f64b9e41"),
+    "derive --u #9 --line #5 --format table": (0, "7b6e024cce513a33216d89803a6b76d8b55bf70c1ae7d5e73c8a3cbb78f80c30"),
+    "derive --u #9 --line #9 --format table": (0, "1f5d5ecb23398a245b68661c7f466cd4d6b07a2e6380e5f63ea11d299fef06ea"),
+    "derive --u #9 --line #10 --format table": (0, "d7abb5d6e51afd18d836d08b6d7aba6269b7bf4e8a17e794e3988fb3edc6d622"),
+    "construct --u #9 --format structured": (0, "a934c7e5eda8c0be253d199a06d8c8c9678fb5c758e8de6fc93896fe861a949b"),
+    "verify {design9} --format structured": (0, "8d433f57d0fb8ddbcbdd919a9aab801bee463a8551cf3b592d26aa5b77e23da3"),
+    "verify {tampered9} --format structured": (1, "313f19799a6d3a02eba97a425e621b41a27eda49669cb79e199cc51d39c3d0cd"),
+    "block --method lookup --u #9 --format structured #0 #1 #2 #4 #5": (0, "600dc84bb5798b1f33eac6aced2b0c745a9a43e5b8e8fe83bb14a2dce7aaa43d"),
+    "block --method lookup --u #9 --format structured #0 #1 #2 #3 #4": (0, "ba9332af31a2dd3f3520138f62f16d2d68190a7d76bba9322e1f4dc881d66449"),
+    "block --method solve --u #9 --format structured #0 #1 #2 #4 #5": (0, "87737fdf13989f4b263b3ce14dcc1890d4ae2f70c852ffb7d1b4cc5dff8c4562"),
+    "block --method solve --u #9 --format structured #0 #1 #2 #3 #4": (0, "c90e438c85e4ad1604d6c38bda338f76b1ae88efe50c9e3b39b9c9012f53318e"),
+    "classify --u #9 --format structured": (0, "2cd65b99fff7f68b3e9d85521e79e44ece7346c76670baf3b1e343b1892e74f3"),
+    "classify --witnesses --u #9 --format structured": (0, "2cce5143a351747951f97195a0813047de96edad3187f82c5d7aec5ac770125d"),
+    "derive --u #9 --line #2 --format structured": (0, "7c5a50a86c75b46d49bbe6b4dfd72818b5e4ab551460b80eb9cf0ccc726aeeef"),
+    "derive --u #9 --line #5 --format structured": (0, "c82f654929543855479b1a8cf3764ceca8e9f767e2e1b345788a4aa36afc0ba6"),
+    "derive --u #9 --line #9 --format structured": (0, "4fb74da693bf8a5dd855e2f1df5a0d8030fc23859ae1f1a4438650559aa09bf5"),
+    "derive --u #9 --line #10 --format structured": (0, "ae96f292d2ef543941490f91a05d046f7f92015b8db90bc8f88d7e8829f9220f"),
+    "table --format table": (0, "5e46cc74ca4f651deadb353abcaba2875ec8420adbbc1640875c21af2ddf6601"),
+    "table --format structured": (0, "494d53edaa1610418674def063c45cd50db24864eb2e086a0fb23560dae8a416"),
+    "aut --u #7 --format table": (0, "625c1c468b0418a1e47879461d1fdbd56c84c4cffda5f44e1f85e138b8535532"),
+    "remark3 --u #9 --line #2 --format table": (0, "fca59cf0b677ee26547d93fe977ec4a9b5544774c4b3f915196f56120ec20337"),
+}
+# sha256 of the file that construct --out writes, indexed by U
+CONSTRUCT_FILE_DIGESTS = [
+    "ad631eb82da9cec66720be8fb04419828916232bb1a8920a16fa05eecdf3b0df",
+    "950a9ce27074048474a15ea9fe60ea097dff239702dbc6aa9dcebf8088a9764d",
+    "6918e7ca123ab0a2a59c197af4e4e818bf04e2f5ff37ad22cf7f4d309d9110de",
+    "425bc00493b2cceee607ca1324854a9198316555430ce8750ae893afa0a1192b",
+    "8474b3404652582b2e38c53f4a2870a8e02d86cdf849e0e9486108227f5a8ddc",
+    "c666a2f5b5b783fec97cedc7b947081a9083ac85275ce4614bfa8d535a9c1408",
+    "015f832fa6a3570f99df7d019d44ccd7a63e32fb78e72c3b17f30e24d521b04a",
+    "4c598286ea25931353dedd09c5b7fc6874e964fcb741d51812916aba0ba55e6a",
+    "b01bf30c9735f5308b345054dda4b4fa1a024db4c42141d6e166240f7a20fd94",
+    "a934c7e5eda8c0be253d199a06d8c8c9678fb5c758e8de6fc93896fe861a949b",
+    "62fad7e883e92dacd2a8dc3edea95cb3d0d7640498831a810fb84e56dbe7d884",
+    "cb53e140a090057dd30532affdcdeceecb6c5feb1812de99292051bbdc468d7e",
+    "e726f5138b66c21f1c4e5c8d7e6e9631a92e553f1e94f85790c782715f53fbc2",
+]
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -301,6 +383,35 @@ def test_aut_structured_output_is_pinned(capsys):
     code, out, _ = run(capsys, "aut", "--u", "#7", "--format", "structured")
     assert code == 0
     assert sha256(out) == AUT_U7_DIGEST
+
+
+@pytest.fixture(scope="module")
+def design_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("designs")
+    files = {}
+    for u in (4, 9):
+        text = render_structured(document_from_model(construct(PLANE.points[u])))
+        doc = json.loads(text)
+        doc["blocks"][20] = sorted(set(doc["blocks"][20][:5]) | {doc["blocks"][21][5]})
+        for name, content in ((f"design{u}", text), (f"tampered{u}", json.dumps(doc))):
+            path = tmp / f"{name}.json"
+            path.write_text(content)
+            files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_output_is_pinned(capsys, design_files, command):
+    code, out, _ = run(capsys, *command.format(**design_files).split())
+    assert (code, sha256(out)) == OUTPUT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("u", range(13))
+def test_construct_file_is_pinned(capsys, tmp_path, u):
+    path = tmp_path / "design.json"
+    code, out, _ = run(capsys, "construct", "--u", f"#{u}", "--out", str(path))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_FILE_DIGESTS[u]
 
 
 def test_remark3_rejects_line_off_u(capsys):
