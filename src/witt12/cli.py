@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, block, table, classify, derive, aut,
 remark3.  Exit codes: 0 on success, 1 when a verification fails, 2 on
-usage or parse errors.  Output is deterministic; the structured format
-is JSON, the default table format is plain text.
+usage, parse or write errors.  Output is deterministic; the structured
+format is JSON, the table format is plain text.  Output is a table unless
+``--out`` is given, when it is structured; ``--format`` overrides either.
 """
 
 from __future__ import annotations
@@ -11,99 +12,79 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import checks, design, designfile, symmetry
 from .plane import PLANE, ProjLine, ProjPoint
 from .quadrics import canonical_table
+
+# what a command produces: the structured payload (a dict, or the design
+# document itself), the lines of the table format, and the exit code
+Output = tuple[Any, list[str], int]
 
 
 class UsageError(ValueError):
     pass
 
 
+def _parse(parse: Callable[[str], Any], spec: str) -> Any:
+    try:
+        return parse(spec)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _parse_u(spec: str | None) -> ProjPoint:
     if spec is None:
         return PLANE.points[design.DEFAULT_U_INDEX]
-    try:
-        return PLANE.parse_point(spec)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return _parse(PLANE.parse_point, spec)
 
 
-def _parse_line(spec: str) -> ProjLine:
-    try:
-        return PLANE.parse_line(spec)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+def _parse_line_through_u(args: argparse.Namespace) -> tuple[ProjPoint, ProjLine]:
+    u = _parse_u(args.u)
+    g = _parse(PLANE.parse_line, args.line)
+    if u.index not in g.points:
+        raise UsageError(f"line #{g.index} does not pass through U (#{u.index})")
+    return u, g
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _json_report(payload: dict) -> str:
+def _render(payload: Any, text_lines: list[str], fmt: str) -> str:
+    if fmt == "table":
+        return "\n".join(text_lines) + "\n"
+    if isinstance(payload, designfile.DesignDocument):
+        return designfile.render_structured(payload)
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
-    if getattr(args, "format", None):
-        return args.format
-    return "structured" if getattr(args, "out", None) else "table"
+def cmd_construct(args: argparse.Namespace) -> Output:
+    doc = designfile.document_from_model(design.construct(_parse_u(args.u)))
+    return doc, designfile.render_table(doc).splitlines(), 0
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    u = _parse_u(args.u)
-    model = design.construct(u)
-    doc = designfile.document_from_model(model)
-    fmt = _resolve_format(args)
-    text = designfile.render_structured(doc) if fmt == "structured" else designfile.render_table(doc)
-    _emit(text, args.out)
-    return 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Output:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
-        return 2
-    try:
-        doc = designfile.parse_structured(text)
-        designfile.check_document_frame(doc)
-    except designfile.DesignFileError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    fields, lines, violation = _check_document(doc)
-    if _resolve_format(args) == "structured":
-        payload = {"command": "verify", **fields}
-        if violation is not None:
-            payload["violation"] = violation
-        _emit(_json_report(payload), args.out)
-    else:
-        print("\n".join(lines))
-    return 0 if violation is None else 1
-
-
-def _check_document(doc: designfile.DesignDocument) -> tuple[dict, list[str], dict | None]:
-    """Verify a parsed design: report fields, table lines, and the violation or None."""
+        raise UsageError(f"cannot read {args.file}: {e}") from None
+    doc = designfile.parse_structured(text)
+    designfile.check_document_frame(doc)
+    report: dict[str, Any] = {"command": "verify"}
     u = PLANE.points[doc.u]
     w = tuple(p.index for p in PLANE.points if p.index != doc.u)
     try:
         structure = checks.IncidenceStructure(w, doc.blocks)
     except ValueError as e:
-        return {}, [f"VIOLATION: {e}"], {"kind": "structure", "reason": str(e)}
+        report["violation"] = {"kind": "structure", "reason": str(e)}
+        return report, [f"VIOLATION: {e}"], 1
     result = checks.verify_t_design(structure, 5)
     if isinstance(result, checks.DesignViolation):
         v = result
+        report["violation"] = asdict(v)
         text = f"VIOLATION: {v.kind} at {v.witness}: got {v.count}, expected {v.expected}"
-        return {}, [text], asdict(v)
+        return report, [text], 1
     cascade = checks.lambda_cascade(result)
     witness_bad = []
     for b, rec in zip(doc.blocks, doc.classes):
@@ -115,11 +96,9 @@ def _check_document(doc: designfile.DesignDocument) -> tuple[dict, list[str], di
             continue
         if rederived != tuple(sorted(b)):
             witness_bad.append((b, f"witness re-derives {rederived}"))
-    fields = {
-        "design": [result.t, result.v, result.k, result.lambda_],
-        "lambda_cascade": list(cascade),
-        "witnesses_ok": not witness_bad,
-    }
+    report["design"] = [result.t, result.v, result.k, result.lambda_]
+    report["lambda_cascade"] = list(cascade)
+    report["witnesses_ok"] = not witness_bad
     lines = [
         f"design: {result.t}-({result.v},{result.k},{result.lambda_})",
         "lambda cascade: " + " ".join(str(x) for x in cascade),
@@ -127,214 +106,161 @@ def _check_document(doc: designfile.DesignDocument) -> tuple[dict, list[str], di
     ]
     if witness_bad:
         b, reason = witness_bad[0]
-        violation = {"kind": "witness", "block": list(b), "reason": reason}
-        return fields, lines + [f"VIOLATION: block {b}: {reason}"], violation
-    return fields, lines + ["OK"], None
+        report["violation"] = {"kind": "witness", "block": list(b), "reason": reason}
+        return report, lines + [f"VIOLATION: block {b}: {reason}"], 1
+    return report, lines + ["OK"], 0
 
 
-def cmd_block(args: argparse.Namespace) -> int:
+def cmd_block(args: argparse.Namespace) -> Output:
     u = _parse_u(args.u)
-    try:
-        pts = [PLANE.parse_point(s) for s in args.points]
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    idxs = [p.index for p in pts]
+    idxs = [_parse(PLANE.parse_point, s).index for s in args.points]
     if len(set(idxs)) != 5:
         raise UsageError("the five points must be distinct")
     if u.index in idxs:
         raise UsageError("the removed point U cannot lie in a block")
     if args.method == "lookup":
-        model = design.construct(u)
-        block = design.block_through(model, idxs)
+        block = design.block_through(design.construct(u), idxs)
         payload = {"command": "block", "method": "lookup", "block": list(block)}
-        text_lines = [f"block: {' '.join(str(x) for x in block)}"]
-    else:
-        sol = design.solve_block_through(idxs, u)
-        payload = {
-            "command": "block",
-            "method": "solve",
-            "block": list(sol.block),
-            "case": sol.case,
-            "determinant": sol.determinant,
-            "solution_dimension": sol.dimension,
-            "form": list(sol.form.coeffs),
-        }
-        text_lines = [
-            f"block: {' '.join(str(x) for x in sol.block)}",
-            f"case: {sol.case}",
-            f"determinant: {sol.determinant}",
-            f"solution space dimension: {sol.dimension}",
-            f"witness form: {sol.form.coeff_str()}",
-        ]
-    if _resolve_format(args) == "structured":
-        _emit(_json_report(payload), getattr(args, "out", None))
-    else:
-        print("\n".join(text_lines))
-    return 0
+        return payload, [f"block: {' '.join(str(x) for x in block)}"], 0
+    sol = design.solve_block_through(idxs, u)
+    payload = {
+        "command": "block",
+        "method": "solve",
+        "block": list(sol.block),
+        "case": sol.case,
+        "determinant": sol.determinant,
+        "solution_dimension": sol.dimension,
+        "form": list(sol.form.coeffs),
+    }
+    text_lines = [
+        f"block: {' '.join(str(x) for x in sol.block)}",
+        f"case: {sol.case}",
+        f"determinant: {sol.determinant}",
+        f"solution space dimension: {sol.dimension}",
+        f"witness form: {sol.form.coeff_str()}",
+    ]
+    return payload, text_lines, 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> Output:
     rows = canonical_table()
-    if _resolve_format(args) == "structured":
-        payload = {
-            "command": "table",
-            "rows": [
-                {"form": r.label, "coeffs": list(r.form.coeffs), "counts": list(r.counts)}
-                for r in rows
-            ],
-        }
-        _emit(_json_report(payload), getattr(args, "out", None))
-    else:
-        width = max(len(r.label) for r in rows)
-        print(f"{'form':<{width}}  #Q0  #Q1  #Q2")
-        for r in rows:
-            c0, c1, c2 = r.counts
-            print(f"{r.label:<{width}}  {c0:3d}  {c1:3d}  {c2:3d}")
-    return 0
+    payload = {
+        "command": "table",
+        "rows": [
+            {"form": r.label, "coeffs": list(r.form.coeffs), "counts": list(r.counts)}
+            for r in rows
+        ],
+    }
+    width = max(len(r.label) for r in rows)
+    text_lines = [f"{'form':<{width}}  #Q0  #Q1  #Q2"] + [
+        f"{r.label:<{width}}" + "".join(f"  {c:3d}" for c in r.counts) for r in rows
+    ]
+    return payload, text_lines, 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    u = _parse_u(args.u)
-    model = design.construct(u)
-    counts: dict[str, int] = {}
-    records = []
-    for b, cls_ in zip(model.blocks, model.classes):
-        rec = designfile.class_record(cls_)
-        counts[rec.kind] = counts.get(rec.kind, 0) + 1
-        records.append((b, rec))
-    if _resolve_format(args) == "structured":
-        payload = {
-            "command": "classify",
-            "census": {k: counts[k] for k in sorted(counts)},
-            "total": len(model.blocks),
-        }
-        if args.witnesses:
-            payload["blocks"] = [
-                {
-                    "block": list(b),
-                    "kind": rec.kind,
-                    **({"form": list(rec.form)} if rec.form is not None else {}),
-                    **({"lines": list(rec.lines)} if rec.lines is not None else {}),
-                }
-                for b, rec in records
-            ]
-        _emit(_json_report(payload), getattr(args, "out", None))
-    else:
-        for kind in sorted(counts):
-            print(f"{kind}: {counts[kind]}")
-        print(f"total: {len(model.blocks)}")
-        if args.witnesses:
-            for b, rec in records:
-                witness = (
-                    f"form {','.join(str(c) for c in rec.form)}"
-                    if rec.form is not None
-                    else f"lines {rec.lines[0]} {rec.lines[1]}"
-                )
-                print(f"  {' '.join(f'{x:2d}' for x in b)}  {rec.kind:<22} {witness}")
-    return 0
+def cmd_classify(args: argparse.Namespace) -> Output:
+    model = design.construct(_parse_u(args.u))
+    records = [(b, designfile.class_record(c)) for b, c in zip(model.blocks, model.classes)]
+    counts = Counter(rec.kind for _, rec in records)
+    payload: dict[str, Any] = {
+        "command": "classify",
+        "census": {k: counts[k] for k in sorted(counts)},
+        "total": len(records),
+    }
+    text_lines = [f"{k}: {counts[k]}" for k in sorted(counts)] + [f"total: {len(records)}"]
+    if args.witnesses:
+        payload["blocks"] = [
+            {"block": list(b), **designfile.record_object(rec)} for b, rec in records
+        ]
+        text_lines += [
+            f"  {' '.join(f'{x:2d}' for x in b)}  {rec.kind:<22} {designfile.witness_text(rec)}"
+            for b, rec in records
+        ]
+    return payload, text_lines, 0
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
-    u = _parse_u(args.u)
-    g = _parse_line(args.line)
-    if u.index not in g.points:
-        raise UsageError(f"line #{g.index} does not pass through U (#{u.index})")
+def cmd_derive(args: argparse.Namespace) -> Output:
+    u, g = _parse_line_through_u(args)
     model = design.construct(u)
     fixed = tuple(x for x in g.points if x != u.index)
     derived = checks.derived_design(design.as_incidence_structure(model), fixed)
     result = checks.verify_t_design(derived, 2)
-    residue = checks.affine_residue(PLANE, g)
-    same = derived == residue
-    ok = isinstance(result, checks.DesignParams) and result == checks.DesignParams(2, 9, 3, 1) and same
-    if _resolve_format(args) == "structured":
-        payload = {
-            "command": "derive",
-            "line": g.index,
-            "fixed": list(fixed),
-            "design": (
-                [result.t, result.v, result.k, result.lambda_]
-                if isinstance(result, checks.DesignParams)
-                else None
-            ),
-            "equals_affine_residue": same,
-        }
-        _emit(_json_report(payload), getattr(args, "out", None))
+    same = derived == checks.affine_residue(PLANE, g)
+    if isinstance(result, checks.DesignParams):
+        params = [result.t, result.v, result.k, result.lambda_]
+        verdict = f"derived design: {result.t}-({result.v},{result.k},{result.lambda_})"
     else:
-        print(f"line #{g.index}: points {' '.join(str(x) for x in g.points)}")
-        print(f"fixed points: {' '.join(str(x) for x in fixed)}")
-        if isinstance(result, checks.DesignParams):
-            print(f"derived design: {result.t}-({result.v},{result.k},{result.lambda_})")
-        else:
-            print(f"VIOLATION: {result.kind} at {result.witness}")
-        print(f"equals affine residue: {'yes' if same else 'no'}")
-    return 0 if ok else 1
+        params = None
+        verdict = f"VIOLATION: {result.kind} at {result.witness}"
+    payload = {
+        "command": "derive",
+        "line": g.index,
+        "fixed": list(fixed),
+        "design": params,
+        "equals_affine_residue": same,
+    }
+    text_lines = [
+        f"line #{g.index}: points {' '.join(str(x) for x in g.points)}",
+        f"fixed points: {' '.join(str(x) for x in fixed)}",
+        verdict,
+        f"equals affine residue: {'yes' if same else 'no'}",
+    ]
+    return payload, text_lines, 0 if params == [2, 9, 3, 1] and same else 1
 
 
-def cmd_aut(args: argparse.Namespace) -> int:
+def cmd_aut(args: argparse.Namespace) -> Output:
     u = _parse_u(args.u)
     model = design.construct(u)
     autos = symmetry.all_automorphisms(model)
     summary = symmetry.automorphism_group(model, autos)
     stab = symmetry.stabilizer_of(PLANE, u)
     induced = {symmetry.induced_permutation(model, c) for c in stab}
-    if _resolve_format(args) == "structured":
-        payload = {
-            "command": "aut",
-            "order": summary.order,
-            "stabilizer_collineations": len(stab),
-            "stabilizer_induced": len(induced),
-            "sharply_5_transitive": summary.sharply_5_transitive,
-            "generators": [list(g) for g in summary.generators],
-        }
-        _emit(_json_report(payload), getattr(args, "out", None))
-    else:
-        print(f"automorphism group order: {summary.order}")
-        print(f"collineations fixing U: {len(stab)}")
-        print(f"distinct induced design automorphisms: {len(induced)}")
-        print(f"sharply 5-transitive: {'yes' if summary.sharply_5_transitive else 'no'}")
-        print("generators (images of the 12 design points):")
-        for g in summary.generators:
-            print(f"  {list(g)}")
-    return 0
+    payload = {
+        "command": "aut",
+        "order": summary.order,
+        "stabilizer_collineations": len(stab),
+        "stabilizer_induced": len(induced),
+        "sharply_5_transitive": summary.sharply_5_transitive,
+        "generators": [list(g) for g in summary.generators],
+    }
+    text_lines = [
+        f"automorphism group order: {summary.order}",
+        f"collineations fixing U: {len(stab)}",
+        f"distinct induced design automorphisms: {len(induced)}",
+        f"sharply 5-transitive: {'yes' if summary.sharply_5_transitive else 'no'}",
+        "generators (images of the 12 design points):",
+    ] + [f"  {list(g)}" for g in summary.generators]
+    return payload, text_lines, 0
 
 
-def cmd_remark3(args: argparse.Namespace) -> int:
-    u = _parse_u(args.u)
-    g = _parse_line(args.line)
-    if u.index not in g.points:
-        raise UsageError(f"line #{g.index} does not pass through U (#{u.index})")
-    model = design.construct(u)
-    report = symmetry.verify_extension_formula(model, g)
-    ok = not report.failures
-    if _resolve_format(args) == "structured":
-        payload = {
-            "command": "remark3",
-            "line": report.line_index,
-            "affinities": report.alpha_count,
-            "checks": report.checks,
-            "failures": len(report.failures),
-            "kappa_beta_divergences": report.divergences,
+def cmd_remark3(args: argparse.Namespace) -> Output:
+    u, g = _parse_line_through_u(args)
+    report = symmetry.verify_extension_formula(design.construct(u), g)
+    payload: dict[str, Any] = {
+        "command": "remark3",
+        "line": report.line_index,
+        "affinities": report.alpha_count,
+        "checks": report.checks,
+        "failures": len(report.failures),
+        "kappa_beta_divergences": report.divergences,
+    }
+    text_lines = [
+        f"line #{report.line_index}: affinities {report.alpha_count}",
+        f"involution-formula checks: {report.checks}, failures: {len(report.failures)}",
+        f"kappa/beta divergences: {report.divergences}",
+    ]
+    if report.divergence_example is not None:
+        alpha, x, xk, xb = report.divergence_example
+        payload["divergence_example"] = {
+            "alpha": list(alpha),
+            "point": x,
+            "kappa_image": xk,
+            "beta_image": xb,
         }
-        if report.divergence_example is not None:
-            alpha, x, xk, xb = report.divergence_example
-            payload["divergence_example"] = {
-                "alpha": list(alpha),
-                "point": x,
-                "kappa_image": xk,
-                "beta_image": xb,
-            }
-        _emit(_json_report(payload), getattr(args, "out", None))
-    else:
-        print(f"line #{report.line_index}: affinities {report.alpha_count}")
-        print(f"involution-formula checks: {report.checks}, failures: {len(report.failures)}")
-        print(f"kappa/beta divergences: {report.divergences}")
-        if report.divergence_example is not None:
-            alpha, x, xk, xb = report.divergence_example
-            print(
-                f"example: alpha={list(alpha)} point #{x}: "
-                f"kappa sends it to #{xk}, beta to #{xb}"
-            )
-    return 0 if ok else 1
+        text_lines.append(
+            f"example: alpha={list(alpha)} point #{x}: kappa sends it to #{xk}, beta to #{xb}"
+        )
+    return payload, text_lines, 0 if not report.failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,10 +324,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return args.func(args)
+        payload, text_lines, code = args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except designfile.DesignFileError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return 2
+    text = _render(payload, text_lines, args.format or ("structured" if args.out else "table"))
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -91,23 +91,43 @@ def class_from_record(rec: ClassRecord, plane: PlaneModel = PLANE) -> BlockClass
     raise DesignFileError(f"unknown class kind {rec.kind!r}")
 
 
+def record_object(rec: ClassRecord) -> dict[str, Any]:
+    """The JSON object of a class record: its kind, then its form or lines."""
+    obj: dict[str, Any] = {"kind": rec.kind}
+    if rec.form is not None:
+        obj["form"] = list(rec.form)
+    if rec.lines is not None:
+        obj["lines"] = list(rec.lines)
+    return obj
+
+
+def witness_text(rec: ClassRecord) -> str:
+    """A class record's witness as table text: 'form a,b,...' or 'lines x y'."""
+    if rec.form is not None:
+        return f"form {','.join(str(c) for c in rec.form)}"
+    if rec.lines is not None:
+        return f"lines {rec.lines[0]} {rec.lines[1]}"
+    return ""
+
+
 def render_structured(doc: DesignDocument) -> str:
-    classes: list[dict[str, Any]] = []
-    for rec in doc.classes:
-        entry: dict[str, Any] = {"kind": rec.kind}
-        if rec.form is not None:
-            entry["form"] = list(rec.form)
-        if rec.lines is not None:
-            entry["lines"] = list(rec.lines)
-        classes.append(entry)
     obj = {
         "format": FORMAT_NAME,
         "points": list(doc.points),
         "u": doc.u,
         "blocks": [list(b) for b in doc.blocks],
-        "classes": classes,
+        "classes": [record_object(rec) for rec in doc.classes],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _is_int(x: Any) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_point_index(x: Any) -> bool:
+    return _is_int(x) and 0 <= x < len(PLANE.points)
 
 
 def parse_structured(text: str) -> DesignDocument:
@@ -127,11 +147,11 @@ def parse_structured(text: str) -> DesignDocument:
     ):
         raise DesignFileError("points must be 13 coordinate strings")
     u = obj.get("u")
-    if not isinstance(u, int) or not 0 <= u < 13:
+    if not _is_point_index(u):
         raise DesignFileError("u must be a point index")
     blocks = obj.get("blocks")
     if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(isinstance(x, int) for x in b) for b in blocks
+        isinstance(b, list) and all(_is_point_index(x) for x in b) for b in blocks
     ):
         raise DesignFileError("blocks must be lists of point indices")
     classes_raw = obj.get("classes")
@@ -144,7 +164,7 @@ def parse_structured(text: str) -> DesignDocument:
         form = entry.get("form")
         lines = entry.get("lines")
         if form is not None and (
-            not isinstance(form, list) or not all(isinstance(x, int) for x in form)
+            not isinstance(form, list) or not all(_is_int(x) for x in form)
         ):
             raise DesignFileError("form must be a list of ints")
         if lines is not None and (
@@ -188,13 +208,7 @@ def render_table(doc: DesignDocument) -> str:
     lines.append(f"blocks ({len(doc.blocks)}, lexicographic)")
     for b, rec in zip(doc.blocks, doc.classes):
         pts = " ".join(f"{x:2d}" for x in b)
-        if rec.form is not None:
-            witness = f"form {','.join(str(c) for c in rec.form)}"
-        elif rec.lines is not None:
-            witness = f"lines {rec.lines[0]} {rec.lines[1]}"
-        else:
-            witness = ""
-        lines.append(f"  {pts}   {rec.kind:<22} {witness}")
+        lines.append(f"  {pts}   {rec.kind:<22} {witness_text(rec)}")
     counts: dict[str, int] = {}
     for rec in doc.classes:
         counts[rec.kind] = counts.get(rec.kind, 0) + 1

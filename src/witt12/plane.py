@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .gf3 import MOD, Mat, det, dot
 
@@ -117,43 +117,30 @@ class PlaneModel:
 
     def parse_point(self, spec: str) -> ProjPoint:
         """Parse '#k' or 'x0:x1:x2' (entries reduced mod 3, zero rejected)."""
-        s = spec.strip()
-        if s.startswith("#"):
-            try:
-                k = int(s[1:])
-            except ValueError:
-                raise ValueError(f"bad point spec {spec!r}") from None
-            if not 0 <= k < POINT_COUNT:
-                raise ValueError(f"point index out of range in {spec!r}")
-            return self.points[k]
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad point spec {spec!r}")
-        try:
-            v = [int(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"bad point spec {spec!r}") from None
-        return self.point_from_vec(v)
+        return self._parse(spec, "point", self.points, self.point_from_vec)
 
     def parse_line(self, spec: str) -> ProjLine:
         """Parse '#k' or a dual triple 'c0:c1:c2'."""
+        return self._parse(spec, "line", self.lines, self.line_from_dual)
+
+    def _parse(self, spec: str, kind: str, by_index: Sequence, from_vec: Callable) -> Any:
         s = spec.strip()
         if s.startswith("#"):
             try:
                 k = int(s[1:])
             except ValueError:
-                raise ValueError(f"bad line spec {spec!r}") from None
-            if not 0 <= k < POINT_COUNT:
-                raise ValueError(f"line index out of range in {spec!r}")
-            return self.lines[k]
+                raise ValueError(f"bad {kind} spec {spec!r}") from None
+            if not 0 <= k < len(by_index):
+                raise ValueError(f"{kind} index out of range in {spec!r}")
+            return by_index[k]
         parts = s.split(":")
         if len(parts) != 3:
-            raise ValueError(f"bad line spec {spec!r}")
+            raise ValueError(f"bad {kind} spec {spec!r}")
         try:
             v = [int(x) for x in parts]
         except ValueError:
-            raise ValueError(f"bad line spec {spec!r}") from None
-        return self.line_from_dual(v)
+            raise ValueError(f"bad {kind} spec {spec!r}") from None
+        return from_vec(v)
 
 
 PLANE = PlaneModel()

@@ -252,7 +252,7 @@ class GroupSummary:
     sharply_5_transitive: bool
 
 
-def _generating_pair(elems: list[Perm], order: int) -> tuple[Perm, ...] | None:
+def _generating_pair(elems: list[Perm], order: int) -> tuple[Perm, Perm]:
     # first element with each possible image of point 0 spreads the
     # candidates across cosets; some pair of those generates quickly
     firsts: list[Perm] = []
@@ -265,7 +265,7 @@ def _generating_pair(elems: list[Perm], order: int) -> tuple[Perm, ...] | None:
     for a, b in combinations(firsts, 2):
         if len(group_closure([a, b])) == order:
             return (a, b)
-    return None
+    raise AssertionError("no generating pair among the coset leaders: invariant broken")
 
 
 def automorphism_group(
@@ -279,18 +279,7 @@ def automorphism_group(
     sharp = order == 12 * 11 * 10 * 9 * 8 and len(prefixes) == order
     elems = [tuple(int(x) for x in row) for row in automorphisms]
     gens = _generating_pair(elems, order)
-    if gens is None:
-        # fall back to a greedy chain; terminates with few generators
-        chain: list[Perm] = []
-        have: set[Perm] = {identity_perm()}
-        for e in elems:
-            if e not in have:
-                chain.append(e)
-                have = group_closure(chain)
-                if len(have) == order:
-                    break
-        gens = tuple(chain)
-    return GroupSummary(order=order, generators=tuple(gens), sharply_5_transitive=sharp)
+    return GroupSummary(order=order, generators=gens, sharply_5_transitive=sharp)
 
 
 def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, int]:

@@ -6,9 +6,13 @@ parse error.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import witt12
 from witt12.cli import main
 from witt12.design import construct
 from witt12.designfile import document_from_model, render_structured
@@ -412,6 +416,69 @@ def test_construct_file_is_pinned(capsys, tmp_path, u):
     code, out, _ = run(capsys, "construct", "--u", f"#{u}", "--out", str(path))
     assert (code, out) == (0, "")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CONSTRUCT_FILE_DIGESTS[u]
+
+
+# one table command per subcommand that takes --out
+TABLE_COMMANDS = [
+    "construct --u #4 --format table",
+    "block --method lookup --u #4 --format table #2 #3 #5 #6 #7",
+    "table --format table",
+    "classify --u #4 --format table",
+    "derive --u #4 --line #0 --format table",
+    "aut --u #7 --format table",
+    "remark3 --u #9 --line #2 --format table",
+]
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_format_goes_to_out(capsys, tmp_path, command):
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *command.split(), "--out", str(path))
+    assert (code, out) == (OUTPUT_DIGESTS[command][0], "")
+    assert sha256(path.read_text()) == OUTPUT_DIGESTS[command][1]
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_out_into_a_missing_directory(capsys, tmp_path, fmt):
+    path = tmp_path / "absent" / "design.json"
+    code, out, err = run(capsys, "construct", "--format", fmt, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+
+
+def test_out_into_a_missing_directory_as_a_process(tmp_path):
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    p = subprocess.run(
+        [sys.executable, "-m", "witt12.cli", "table", "--out", str(tmp_path / "absent" / "t.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr.startswith("error:")
+    assert "Traceback" not in p.stderr
+
+
+# values of the right JSON type that are still not point indices or
+# coefficients; each must be a parse error, not a design violation
+MALFORMED = {
+    "u-bool": lambda o: o.__setitem__("u", True),
+    "block-bool": lambda o: o["blocks"][0].__setitem__(0, True),
+    "block-above-12": lambda o: o["blocks"][0].__setitem__(5, 99),
+    "block-negative": lambda o: o["blocks"][0].__setitem__(0, -1),
+    "form-bool": lambda o: next(c for c in o["classes"] if "form" in c)["form"].__setitem__(0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_verify_rejects_malformed_values_as_parse_errors(capsys, tmp_path, design_file, name):
+    doc = json.loads(design_file.read_text())
+    MALFORMED[name](doc)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(bad), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
 
 
 def test_remark3_rejects_line_off_u(capsys):

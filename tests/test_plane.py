@@ -113,6 +113,11 @@ def test_parse_line():
     assert ln.points == tuple(
         p.index for p in PLANE.points if p.rep[0] == 0
     )
+    assert PLANE.parse_line("#3").dual == (0, 1, 2)
+    assert PLANE.parse_line("0:2:1").index == 3  # scalar multiple
+    for bad in ("#13", "#-1", "0:0:0", "abc", "1:2", "1:2:3:4", "1:x:2"):
+        with pytest.raises(ValueError):
+            PLANE.parse_line(bad)
 
 
 def test_collinear():

@@ -177,6 +177,13 @@ def test_generators_regenerate_the_group(summary, autos):
     assert closure == rows
 
 
+def test_generating_pair_is_required(model, autos):
+    # the identity and one involution: no pair of coset leaders to try
+    involution = next(row for row in autos[1:] if (row[row] == np.arange(12)).all())
+    with pytest.raises(AssertionError):
+        symmetry.automorphism_group(model, np.stack([autos[0], involution]))
+
+
 def test_engine_completes_a_frame_to_the_listed_automorphisms(model, autos):
     # frame completion from another frame reaches the same rows as the
     # whole-group enumeration from positions 0..4
