@@ -177,6 +177,14 @@ def test_generators_regenerate_the_group(summary, autos):
     assert closure == rows
 
 
+def test_generators_are_pinned(summary):
+    # the first generating pair among the coset leaders of point 0, at U = #4
+    assert summary.generators == (
+        (1, 0, 2, 3, 4, 5, 9, 8, 7, 6, 11, 10),
+        (7, 0, 1, 2, 3, 11, 4, 10, 9, 8, 5, 6),
+    )
+
+
 def test_generating_pair_is_required(model, autos):
     # the identity and one involution: no pair of coset leaders to try
     involution = next(row for row in autos[1:] if (row[row] == np.arange(12)).all())
