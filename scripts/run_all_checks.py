@@ -147,7 +147,7 @@ def main(argv=None):
         "every stabilizer collineation induces a design automorphism",
     )
     autos = all_automorphisms(model)
-    summary = automorphism_group(model, autos)
+    summary = automorphism_group(autos)
     print(f"  order: {summary.order}, generators: {len(summary.generators)}")
     check(summary.order == 95040, "group order 95040")
     check(summary.sharply_5_transitive, "sharply 5-transitive")

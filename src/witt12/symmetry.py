@@ -252,33 +252,25 @@ class GroupSummary:
     sharply_5_transitive: bool
 
 
-def _generating_pair(elems: list[Perm], order: int) -> tuple[Perm, Perm]:
-    # first element with each possible image of point 0 spreads the
-    # candidates across cosets; some pair of those generates quickly
-    firsts: list[Perm] = []
-    seen_img0 = set()
-    for e in elems:
-        if e[0] not in seen_img0:
-            seen_img0.add(e[0])
-            if e != identity_perm(len(e)):
-                firsts.append(e)
-    for a, b in combinations(firsts, 2):
-        if len(group_closure([a, b])) == order:
+def _generating_pair(automorphisms: np.ndarray) -> tuple[Perm, Perm]:
+    # the first row with each image of point 0 spreads the candidates
+    # across cosets; some pair of those generates quickly
+    _, first = np.unique(automorphisms[:, 0], return_index=True)
+    leaders = [tuple(int(x) for x in automorphisms[i]) for i in sorted(first)]
+    leaders = [e for e in leaders if e != identity_perm(len(e))]
+    for a, b in combinations(leaders, 2):
+        if len(group_closure([a, b])) == len(automorphisms):
             return (a, b)
     raise AssertionError("no generating pair among the coset leaders: invariant broken")
 
 
-def automorphism_group(
-    m: WittModel, automorphisms: np.ndarray | None = None
-) -> GroupSummary:
-    """Order, a small generating set, and the sharp 5-transitivity certificate."""
-    if automorphisms is None:
-        automorphisms = all_automorphisms(m)
+def automorphism_group(automorphisms: np.ndarray) -> GroupSummary:
+    """Order, a small generating set, and the sharp 5-transitivity
+    certificate of the enumerated automorphisms (all_automorphisms)."""
     order = len(automorphisms)
     prefixes = np.unique(automorphisms[:, :5], axis=0)
     sharp = order == 12 * 11 * 10 * 9 * 8 and len(prefixes) == order
-    elems = [tuple(int(x) for x in row) for row in automorphisms]
-    gens = _generating_pair(elems, order)
+    gens = _generating_pair(automorphisms)
     return GroupSummary(order=order, generators=gens, sharply_5_transitive=sharp)
 
 
@@ -366,10 +358,14 @@ def collineation_from_frames(
 
 
 def _extensions(
-    m: WittModel, pts: Sequence[int], alphas: Sequence[Perm]
-) -> list[Perm | None]:
-    """For each affinity, the automorphism completing its images of the
-    first five affine points, or None unless it agrees on all nine."""
+    m: WittModel, g: ProjLine, alphas: Sequence[Perm]
+) -> list[tuple[Collineation, Perm, Perm | None]]:
+    """For each affinity of g's residue: the collineation kappa extending
+    it, kappa's point map, and the automorphism completing its images of
+    the first five affine points, or None unless it agrees on all nine."""
+    plane = m.plane
+    pts = affine_residue(plane, g).points
+    frame = _general_position_frame(plane, pts)
     wpos = [m.w_position[p] for p in pts]
     wanted = [tuple(wpos[a] for a in alpha) for alpha in alphas]
     completed: dict[tuple[int, ...], Perm] = {}
@@ -379,10 +375,16 @@ def _extensions(
         if key in completed:
             raise AssertionError("two automorphisms share the images of five points")
         completed[key] = beta
-    out: list[Perm | None] = []
-    for w in wanted:
+    out = []
+    for alpha, w in zip(alphas, wanted):
+        dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
+        kappa = collineation_from_frames(frame, dst, plane)
+        pm = kappa.point_map(plane)
+        if any(pm[p] != pts[a] for p, a in zip(pts, alpha)):
+            raise AssertionError("the collineation does not extend the affinity")
         beta = completed.get(w[:5])
-        out.append(beta if beta is not None and tuple(beta[x] for x in wpos) == w else None)
+        ok = beta is not None and tuple(beta[x] for x in wpos) == w
+        out.append((kappa, pm, beta if ok else None))
     return out
 
 
@@ -393,21 +395,15 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
     index) to positions.  Raises ValueError when alpha does not preserve
     the cut lines or when the model's U is off the line.
     """
-    plane = m.plane
     if m.u.index not in g.points:
         raise ValueError("the line must pass through U")
-    pts, lines = _residue_lines(plane, g)
     if sorted(alpha) != list(range(9)):
         raise ValueError("alpha must be a permutation of 0..8")
+    _, lines = _residue_lines(m.plane, g)
     lineset = {frozenset(ln) for ln in lines}
     if any(frozenset(alpha[x] for x in ln) not in lineset for ln in lines):
         raise ValueError("alpha does not preserve the cut lines")
-    frame = _general_position_frame(plane, pts)
-    dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
-    kappa = collineation_from_frames(frame, dst, plane)
-    pm = kappa.point_map(plane)
-    assert all(pm[p] == pts[alpha[i]] for i, p in enumerate(pts))
-    (beta,) = _extensions(m, pts, [alpha])
+    ((kappa, _, beta),) = _extensions(m, g, [alpha])
     if beta is None:
         raise AssertionError("no design automorphism extends the affinity")
     return kappa, beta
@@ -434,29 +430,23 @@ def verify_extension_formula(m: WittModel, g: ProjLine) -> ExtensionReport:
     """For every affinity of the residue of g, check X^beta against the
     conjugated involution U^(kappa^-1 gamma_X kappa) for the three
     points X of g other than U."""
-    plane = m.plane
-    if m.u.index not in g.points:
+    plane, u = m.plane, m.u.index
+    if u not in g.points:
         raise ValueError("the line must pass through U")
-    pts = affine_residue(plane, g).points
     alphas = affinities(plane, g)
-    betas = _extensions(m, pts, alphas)
-    frame = _general_position_frame(plane, pts)
-    others = sorted(set(g.points) - {m.u.index})
+    others = sorted(set(g.points) - {u})
+    gammas = [elliptic_involution(g, plane.points[x], m.u) for x in others]
     failures: list[tuple] = []
     divergences = 0
     example = None
     checks = 0
-    for alpha, beta in zip(alphas, betas):
-        dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
-        kappa = collineation_from_frames(frame, dst, plane)
-        pm = kappa.point_map(plane)
-        pm_inv = kappa.inverse().point_map(plane)
+    for alpha, (_, pm, beta) in zip(alphas, _extensions(m, g, alphas)):
         if beta is None:
             failures.append((alpha, None, None, None))
             continue
-        for x in others:
-            gamma = elliptic_involution(g, plane.points[x], m.u)
-            rhs = pm[gamma[pm_inv[m.u.index]]]
+        u_pre = invert_perm(pm)[u]
+        for x, gamma in zip(others, gammas):
+            rhs = pm[gamma[u_pre]]
             lhs = m.w[beta[m.w_position[x]]]
             checks += 1
             if lhs != rhs:

@@ -28,8 +28,8 @@ def autos(model):
 
 
 @pytest.fixture(scope="session")
-def summary(model, autos):
-    return automorphism_group(model, autos)
+def summary(autos):
+    return automorphism_group(autos)
 
 
 @pytest.fixture(scope="session")

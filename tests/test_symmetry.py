@@ -185,11 +185,11 @@ def test_generators_are_pinned(summary):
     )
 
 
-def test_generating_pair_is_required(model, autos):
+def test_generating_pair_is_required(autos):
     # the identity and one involution: no pair of coset leaders to try
     involution = next(row for row in autos[1:] if (row[row] == np.arange(12)).all())
     with pytest.raises(AssertionError):
-        symmetry.automorphism_group(model, np.stack([autos[0], involution]))
+        symmetry.automorphism_group(np.stack([autos[0], involution]))
 
 
 def test_engine_completes_a_frame_to_the_listed_automorphisms(model, autos):
@@ -365,6 +365,14 @@ def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_
     assert report.checks == 0
     assert len(report.failures) == 432
     assert all(f[1:] == (None, None, None) for f in report.failures)
+
+
+def test_collineation_disagreeing_with_the_affinity_raises(model, lines_through_u, monkeypatch):
+    # kappa must restrict to alpha on the nine affine points; the identity
+    # does so only for the identity affinity
+    monkeypatch.setattr(symmetry, "collineation_from_frames", lambda *a: Collineation.identity())
+    with pytest.raises(AssertionError):
+        verify_extension_formula(model, lines_through_u[0])
 
 
 def test_extension_formula_on_every_line(model, lines_through_u):
