@@ -65,21 +65,22 @@ def cmd_construct(args: argparse.Namespace) -> Output:
 
 def cmd_verify(args: argparse.Namespace) -> Output:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {args.file}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise designfile.DesignFileError(f"{args.file} is not UTF-8 text: {e}") from None
     doc = designfile.parse_structured(text)
     designfile.check_document_frame(doc)
     report: dict[str, Any] = {"command": "verify"}
     u = PLANE.points[doc.u]
     w = tuple(p.index for p in PLANE.points if p.index != doc.u)
     try:
-        structure = checks.IncidenceStructure(w, doc.blocks)
-    except ValueError as e:
+        result = checks.verify_t_design(checks.IncidenceStructure(w, doc.blocks), 5)
+    except ValueError as e:  # also no blocks, or a block under five points
         report["violation"] = {"kind": "structure", "reason": str(e)}
         return report, [f"VIOLATION: {e}"], 1
-    result = checks.verify_t_design(structure, 5)
     if isinstance(result, checks.DesignViolation):
         v = result
         report["violation"] = asdict(v)
@@ -108,6 +109,11 @@ def cmd_verify(args: argparse.Namespace) -> Output:
         b, reason = witness_bad[0]
         report["violation"] = {"kind": "witness", "block": list(b), "reason": reason}
         return report, lines + [f"VIOLATION: block {b}: {reason}"], 1
+    # a sound design is accepted only as the exact bytes construct writes
+    if text != designfile.render_structured(designfile.document_from_model(design.construct(u))):
+        reason = "the file differs from the canonical rendering of its design"
+        report["violation"] = {"kind": "non-canonical", "reason": reason}
+        return report, lines + [f"VIOLATION: non-canonical: {reason}"], 1
     return report, lines + ["OK"], 0
 
 

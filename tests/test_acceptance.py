@@ -6,9 +6,15 @@ a cached summary.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+
+import witt12
 
 from witt12.checks import (
     DesignParams,
@@ -173,3 +179,19 @@ def test_10_determinism(model, tmp_path):
     assert render_structured(parse_structured(p.read_text())) == text1
     print("\nPASS 10: construct output is byte-identical across runs and"
           " parse/re-emit round-trips")
+
+
+def test_11_report_script():
+    # the standalone report walks the same facts from a fresh process
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_checks.py"
+    p = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=600,
+    )
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert "\n  0 failures," in p.stdout
+    print("\nPASS 11: scripts/run_all_checks.py exits 0 with 0 failures")

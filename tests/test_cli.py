@@ -4,13 +4,16 @@ Exit code contract: 0 success, 1 verification failure, 2 usage or
 parse error.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import witt12
 from witt12.cli import main
@@ -479,6 +482,135 @@ def test_verify_rejects_malformed_values_as_parse_errors(capsys, tmp_path, desig
     code, out, err = run(capsys, "verify", str(bad), "--format", "structured")
     assert (code, out) == (2, "")
     assert err.startswith("parse error:")
+
+
+def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "verify", str(bad), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocks", ["empty-block", "no-blocks"])
+def test_verify_reports_too_few_points_as_a_structure_violation(capsys, tmp_path, design_file, blocks):
+    doc = json.loads(design_file.read_text())
+    if blocks == "empty-block":
+        doc["blocks"][0] = []
+    else:
+        doc["blocks"], doc["classes"] = [], []
+    bad = tmp_path / "small.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(bad), "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["violation"]["kind"] == "structure"
+
+
+def _shift_a_coefficient(doc):
+    next(c for c in doc["classes"] if "form" in c)["form"][0] += 3
+
+
+def _reverse_a_block(doc):
+    doc["blocks"][0].reverse()
+
+
+def _stray_form_on_a_line_pair(doc):
+    next(c for c in doc["classes"] if c["kind"] == "line_pair_minus_u")["form"] = [1, 0, 0, 0, 0, 0]
+
+
+# the same sound design with sound witnesses, written differently from
+# what construct writes; each passes every check before the last
+NON_CANONICAL = {
+    "form-plus-3": _shift_a_coefficient,
+    "reversed-block": _reverse_a_block,
+    "stray-form": _stray_form_on_a_line_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_verify_rejects_a_non_canonical_file(capsys, tmp_path, design_file, name):
+    doc = json.loads(design_file.read_text())
+    NON_CANONICAL[name](doc)
+    bad = tmp_path / "non-canonical.json"
+    bad.write_text(json.dumps(doc, indent=2) + "\n")
+    code, out, _ = run(capsys, "verify", str(bad), "--format", "structured")
+    assert code == 1
+    report = json.loads(out)
+    assert report["witnesses_ok"] is True
+    assert report["violation"]["kind"] == "non-canonical"
+    code, out, _ = run(capsys, "verify", str(bad))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("VIOLATION: non-canonical")
+
+
+def test_verify_rejects_crlf_line_ends(capsys, tmp_path, design_file):
+    bad = tmp_path / "crlf.json"
+    bad.write_bytes(design_file.read_bytes().replace(b"\n", b"\r\n"))
+    code, out, _ = run(capsys, "verify", str(bad), "--format", "structured")
+    assert code == 1
+    assert json.loads(out)["violation"]["kind"] == "non-canonical"
+
+
+CANONICAL = render_structured(document_from_model(construct())).encode()
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 14) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(obj, path=()):
+    """Every path from the root to a value inside obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_files(draw):
+    """The canonical file with a few byte edits, or a few values replaced or deleted."""
+    if draw(st.booleans()):
+        data = bytearray(CANONICAL)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(data)))
+            new = draw(st.binary(max_size=3))
+            data[i : i + draw(st.integers(0, 3))] = new
+        return bytes(data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data)
+    obj = json.loads(CANONICAL)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.integers(-1, 13) | JSON_VALUES)
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+
+@settings(deadline=None)
+@given(data=mutated_files(), fmt=st.sampled_from(["table", "structured"]))
+def test_verify_survives_mutated_files(fuzz_file, data, fmt):
+    fuzz_file.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(fuzz_file), "--format", fmt])
+    assert code in (0, 1, 2)
+    assert (code == 0) == (data == CANONICAL)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith(("parse error:", "error:"))
+    elif fmt == "structured":
+        assert isinstance(json.loads(out.getvalue()), dict)
 
 
 def test_remark3_rejects_line_off_u(capsys):

@@ -196,3 +196,23 @@ def test_alternate_removed_point_gives_isomorphic_design(model):
     pm = carrier.point_map()
     mapped = {tuple(sorted(pm[x] for x in b)) for b in model.blocks}
     assert mapped == set(other.blocks)
+
+
+@pytest.mark.parametrize("u", range(13))
+def test_every_u_is_a_collineation_image_of_the_default(model, collineations, u):
+    # the design at U is the kappa-image of the design at #4 for any
+    # collineation kappa with #4 -> U, block for block; the census and the
+    # solver's case split (both certificate branches) are the same at every U
+    other = construct(PLANE.points[u])
+    kappa = next(c for c in collineations if c.apply_point(model.u).index == u)
+    pm = kappa.point_map()
+    assert other.blocks == tuple(sorted(tuple(sorted(pm[x] for x in b)) for b in model.blocks))
+    assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
+    cases = Counter()
+    for five in itertools.combinations(other.w, 5):
+        sol = solve_block_through(five, other.u)
+        assert sol.block == block_through(other, five)
+        line_pair = isinstance(classify_block(other, sol.block), LinePairMinusU)
+        assert (sol.case == "B") == line_pair == (sol.determinant == 0)
+        cases[sol.case] += 1
+    assert cases == {"A": 540, "B": 252}
