@@ -16,6 +16,16 @@ from math import comb
 from typing import Hashable, Iterable, Sequence, Union
 
 
+class InvariantError(AssertionError):
+    """A property the construction proves at runtime failed to hold."""
+
+
+def require(cond: object, msg: str) -> None:
+    """Raise InvariantError unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise InvariantError(msg)
+
+
 @dataclass(frozen=True)
 class IncidenceStructure:
     points: tuple[Hashable, ...]
@@ -93,10 +103,8 @@ def verify_t_design(s: IncidenceStructure, t: int) -> VerifyResult:
             lam = c
         elif c != lam:
             return DesignViolation("coverage", sub, c, lam)
-    assert lam is not None
-    if lam == 0:
-        # blocks exist but cover no t-subset; impossible once t <= k
-        raise AssertionError("zero coverage with nonempty blocks")
+    # blocks exist, so some t-subset is covered once t <= k
+    require(lam, "zero coverage with nonempty blocks")
     return DesignParams(t, len(s.points), k, lam)
 
 
@@ -136,6 +144,6 @@ def affine_residue(plane, g) -> IncidenceStructure:
         if ln.index == g.index:
             continue
         cut = tuple(x for x in ln.points if x in pset)
-        assert len(cut) == 3  # any other line meets g in exactly one point
+        require(len(cut) == 3, "a line does not meet g in exactly one point")
         blocks.append(cut)
     return IncidenceStructure(pts, blocks)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
 
-from .checks import IncidenceStructure
+from .checks import IncidenceStructure, require
 from .gf3 import MOD, Mat, det, null_space
 from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
 from .quadrics import (
@@ -97,7 +97,7 @@ def block_of_form(
     if len(members) <= 3:
         return None
     # sizes 4, 5, or 7+ would break the construction; they never occur
-    assert len(members) == 6, f"candidate set of size {len(members)}"
+    require(len(members) == 6, f"candidate set of size {len(members)}")
     return members
 
 
@@ -109,25 +109,27 @@ def _classify_from_form(
         # U lies on the zero set, which must be a pair of lines through U
         zero = {p.index for p in level_set(q, 0, plane)}
         pair = tuple(ln for ln in plane.lines if set(ln.points) <= zero)
-        assert len(pair) == 2
-        assert set(pair[0].points) | set(pair[1].points) == bset | {u.index}
+        require(len(pair) == 2, "the zero set through U is not a line pair")
+        union = set(pair[0].points) | set(pair[1].points)
+        require(union == bset | {u.index}, "the line pair is not the block plus U")
         return LinePairMinusU(pair)
     zero = level_set(q, 0, plane)
     if len(zero) == 4:
         geo = conic_geometry(q, plane)
-        assert u in geo.internal
-        assert {p.index for p in geo.external} == bset
+        require(u in geo.internal, "U is not internal to the conic")
+        require({p.index for p in geo.external} == bset, "block is not the exterior")
         return ConicExterior(q)
-    assert len(zero) == 1
+    require(len(zero) == 1, f"zero set of size {len(zero)}")
     center = next(iter(zero))
     pair = tuple(
         ln
         for ln in plane.lines_through(center)
         if len(bset.intersection(ln.points)) == 3
     )
-    assert len(pair) == 2
-    assert set(pair[0].points) ^ set(pair[1].points) == bset
-    assert u.index not in set(pair[0].points) | set(pair[1].points)
+    require(len(pair) == 2, "no line pair through the centre")
+    first, second = set(pair[0].points), set(pair[1].points)
+    require(first ^ second == bset, "block is not the symmetric difference")
+    require(u.index not in first | second, "U lies on the line pair")
     return SymmetricDifference(pair)
 
 
@@ -140,18 +142,18 @@ def construct(u: ProjPoint | None = None, plane: PlaneModel = PLANE) -> WittMode
         b = block_of_form(q, u, plane)
         if b is not None:
             # each block has a unique witness form up to doubling
-            assert b not in found
+            require(b not in found, "a block with two witness forms")
             found[b] = q
     blocks = tuple(sorted(found))
-    assert len(blocks) == 132
+    require(len(blocks) == 132, "the design does not have 132 blocks")
     classes = tuple(_classify_from_form(found[b], u, plane, b) for b in blocks)
     five: dict[frozenset[int], int] = {}
     for i, b in enumerate(blocks):
         for sub in combinations(b, 5):
             key = frozenset(sub)
-            assert key not in five, "a 5-set inside two blocks"
+            require(key not in five, "a 5-set inside two blocks")
             five[key] = i
-    assert len(five) == 792  # C(12,5): every 5-set of W is covered
+    require(len(five) == 792, "a 5-set of W is uncovered")  # C(12,5) = 792
     w = tuple(p.index for p in plane.points if p.index != u.index)
     w_position = {pt: i for i, pt in enumerate(w)}
     local_blocks = tuple(tuple(w_position[x] for x in b) for b in blocks)
@@ -280,17 +282,15 @@ def solve_block_through(
     dimension = len(kernel)
     if kernel_stacked:
         form = QuadraticForm(kernel_stacked[0])
-        assert evaluate(form, u) == 0
-        assert determinant == 0
+        require(evaluate(form, u) == 0 and determinant == 0, "case B certificate fails")
         case = "B"
     else:
-        assert dimension == 1
+        require(dimension == 1, f"case A kernel of dimension {dimension}")
         form = QuadraticForm(kernel[0])
-        assert evaluate(form, u) != 0
-        assert determinant != 0
+        require(evaluate(form, u) != 0 and determinant != 0, "case A certificate fails")
         case = "A"
     block = block_of_form(form, u, plane)
-    assert block is not None and set(pts) <= set(block)
+    require(block is not None and set(pts) <= set(block), "block misses a point")
     return BlockSolution(case, block, form, dimension, determinant)
 
 

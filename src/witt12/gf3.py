@@ -2,9 +2,9 @@
 
 Scalars are the canonical residues 0, 1, 2 stored as plain ints; every
 operation reduces eagerly, so equality of values is equality of ints.
-Vectors are tuples of scalars.  Matrices are immutable dense row grids;
-dimensions are capped at 8 because nothing here needs more than a
-stacked 6x6 system, and a hard cap catches indexing bugs early.
+Vectors are tuples of scalars.  Matrices are immutable dense row grids
+of any size.  One Gauss-Jordan elimination backs every routine here:
+rref, rank, det, null space, solve and inverse.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MOD = 3
-MAX_DIM = 8
 
 Vec = tuple[int, ...]
 
@@ -79,8 +78,6 @@ class Mat:
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise ValueError("ragged rows")
-        if len(self.rows) > MAX_DIM or width > MAX_DIM:
-            raise ValueError(f"dimensions are capped at {MAX_DIM}")
         if any(x not in (0, 1, 2) for r in self.rows for x in r):
             raise ValueError("entries must be reduced scalars 0, 1, 2")
 
@@ -127,17 +124,23 @@ def vec_mat(v: Sequence[int], m: Mat) -> Vec:
                  for j in range(m.ncols))
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the ascending pivot columns."""
+def _eliminate(m: Mat) -> tuple[tuple[Vec, ...], tuple[int, ...], int]:
+    """Gauss-Jordan elimination: reduced rows, ascending pivot columns, and
+    the product of the pivots met, negated once per row swap (the
+    determinant when a square matrix has a pivot in every column)."""
     rows = [list(r) for r in m.rows]
     nr, nc = m.nrows, m.ncols
     pivots: list[int] = []
+    d = 1
     r = 0
     for c in range(nc):
         pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            d = -d
+        d = (d * rows[r][c]) % MOD
         pinv = inv(rows[r][c])
         rows[r] = [(pinv * x) % MOD for x in rows[r]]
         for i in range(nr):
@@ -148,34 +151,25 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         r += 1
         if r == nr:
             break
-    return Mat.from_rows(rows), tuple(pivots)
+    return tuple(tuple(row) for row in rows), tuple(pivots), d
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the ascending pivot columns."""
+    rows, pivots, _ = _eliminate(m)
+    return Mat(rows), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def det(m: Mat) -> int:
-    """Determinant by Gaussian elimination; square matrices only."""
+    """Determinant: the signed pivot product, or 0 when a column has no pivot."""
     if m.nrows != m.ncols:
         raise ValueError("determinant needs a square matrix")
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    d = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = (-d) % MOD
-        d = (d * rows[c][c]) % MOD
-        pinv = inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = (rows[i][c] * pinv) % MOD
-                rows[i] = [(a - f * b) % MOD for a, b in zip(rows[i], rows[c])]
-    return d
+    _, pivots, d = _eliminate(m)
+    return d if len(pivots) == m.ncols else 0
 
 
 def null_space(m: Mat) -> list[Vec]:
@@ -217,16 +211,6 @@ def mat_inv(m: Mat) -> Mat:
     if m.nrows != m.ncols:
         raise ValueError("inverse needs a square matrix")
     n = m.nrows
-    if 2 * n > MAX_DIM:
-        # augmented matrix would exceed the cap; invert column by column
-        cols = []
-        for j in range(n):
-            e = [1 if i == j else 0 for i in range(n)]
-            x = solve(m, e)
-            if x is None:
-                raise ValueError("matrix is singular")
-            cols.append(x)
-        return Mat(tuple(cols)).transpose()
     aug = Mat.from_rows([list(r) + [1 if i == j else 0 for j in range(n)]
                          for i, r in enumerate(m.rows)])
     red, pivots = rref(aug)

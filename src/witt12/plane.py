@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, Sequence
 
+from .checks import InvariantError, require
 from .gf3 import MOD, Mat, det, dot
 
 POINT_COUNT = 13
@@ -68,7 +69,7 @@ class PlaneModel:
 
     def __init__(self) -> None:
         triples = _canonical_triples()
-        assert len(triples) == POINT_COUNT
+        require(len(triples) == POINT_COUNT, "wrong number of points")
         self.points: tuple[ProjPoint, ...] = tuple(
             ProjPoint(i, t) for i, t in enumerate(triples)
         )
@@ -78,7 +79,7 @@ class PlaneModel:
         lines = []
         for i, d in enumerate(triples):
             on = tuple(p.index for p in self.points if dot(d, p.rep) == 0)
-            assert len(on) == LINE_SIZE
+            require(len(on) == LINE_SIZE, "a line without four points")
             lines.append(ProjLine(i, d, on))
         self.lines: tuple[ProjLine, ...] = tuple(lines)
         self._line_index: dict[tuple[int, int, int], int] = {
@@ -164,4 +165,4 @@ def collinear_triple_in(
     for a, b, c in combinations(pts, 3):
         if collinear(a, b, c):
             return a, b, c
-    raise AssertionError("five points with no collinear triple: invariant broken")
+    raise InvariantError("five points with no collinear triple: invariant broken")

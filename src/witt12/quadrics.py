@@ -15,6 +15,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from .checks import InvariantError, require
 from .gf3 import MOD
 from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
 
@@ -117,7 +118,7 @@ def classify(q: QuadraticForm, plane: PlaneModel = PLANE) -> QuadricType:
     sig = signature(q, plane)
     kind = _SIGNATURES.get(sig)
     if kind is None:
-        raise AssertionError(f"unexpected level-set signature {sig}")
+        raise InvariantError(f"unexpected level-set signature {sig}")
     return kind
 
 
@@ -153,10 +154,10 @@ def conic_geometry(q: QuadraticForm, plane: PlaneModel = PLANE) -> ConicGeometry
     internal = tuple(
         p for p in plane.points if p.index not in conic_idx and p.index not in on_tangent
     )
-    assert len(conic_pts) == 4 and len(tangents) == 4
-    assert len(external) == 6 and len(internal) == 3
-    lv1, lv2 = level_set(q, 1, plane), level_set(q, 2, plane)
-    assert {frozenset(external), frozenset(internal)} == {lv1, lv2}
+    require(len(conic_pts) == 4 and len(tangents) == 4, "a conic needs four tangents")
+    require(len(external) == 6 and len(internal) == 3, "wrong external/internal split")
+    levels = {level_set(q, 1, plane), level_set(q, 2, plane)}
+    require({frozenset(external), frozenset(internal)} == levels, "levels disagree")
     return ConicGeometry(q, conic_pts, tangents, external, internal)
 
 

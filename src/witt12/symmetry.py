@@ -31,19 +31,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checks import affine_residue
+from .checks import InvariantError, affine_residue, require
 from .design import WittModel
-from .gf3 import MOD, Mat, mat_inv, mat_mul, solve, vec_mat
+from .gf3 import MOD, Mat, det, mat_inv, mat_mul, solve, vec_add, vec_mat, vec_scale
 from .plane import PLANE, PlaneModel, ProjLine, ProjPoint, collinear
 
 Perm = tuple[int, ...]
 
 Matrix3 = tuple[tuple[int, int, int], ...]
-
-
-def _det3(m: Matrix3) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return (a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h) % MOD
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class Collineation:
         m = tuple(tuple(x % MOD for x in r) for r in rows)
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("expected a 3x3 matrix")
-        if _det3(m) == 0:
+        if det(Mat(m)) == 0:
             raise ValueError("matrix is singular")
         flat = [x for r in m for x in r]
         lead = next(x for x in flat if x)
@@ -89,14 +84,16 @@ class Collineation:
 
 @lru_cache(maxsize=2)
 def all_collineations(plane: PlaneModel = PLANE) -> tuple[Collineation, ...]:
-    """All 5616 collineations, enumerated via canonical matrices."""
+    """All 5616 collineations in row-major order of canonical matrices: a
+    canonical first row, then each row off the span of the rows above it."""
+    vecs = list(product(range(MOD), repeat=3))
+    firsts = sorted((p.rep for p in plane.points), key=lambda v: (v.index(1), v))
     out = []
-    for k in range(9):
-        for tail in product(range(MOD), repeat=8 - k):
-            flat = (0,) * k + (1,) + tail
-            m = (flat[0:3], flat[3:6], flat[6:9])
-            if _det3(m) != 0:
-                out.append(Collineation(m))
+    for r1 in firsts:
+        span1 = {vec_scale(c, r1) for c in range(MOD)}
+        for r2 in (v for v in vecs if v not in span1):
+            span2 = {vec_add(a, vec_scale(c, r2)) for a in span1 for c in range(MOD)}
+            out.extend(Collineation((r1, r2, r3)) for r3 in vecs if r3 not in span2)
     return tuple(out)
 
 
@@ -192,7 +189,7 @@ def complete_automorphisms(
         if step[0] == "force":
             _, sub, x = step
             forced = sixth[np.bitwise_or.reduce(1 << img[:, sub], axis=1)]
-            assert (forced >= 0).all()
+            require((forced >= 0).all(), "forcing met a repeated image")
             keep = ((used >> forced) & 1) == 0
             img, used, forced = img[keep], used[keep], forced[keep]
             img[:, x] = forced
@@ -261,7 +258,7 @@ def _generating_pair(automorphisms: np.ndarray) -> tuple[Perm, Perm]:
     for a, b in combinations(leaders, 2):
         if len(group_closure([a, b])) == len(automorphisms):
             return (a, b)
-    raise AssertionError("no generating pair among the coset leaders: invariant broken")
+    raise InvariantError("no generating pair among the coset leaders: invariant broken")
 
 
 def automorphism_group(automorphisms: np.ndarray) -> GroupSummary:
@@ -334,7 +331,7 @@ def _general_position_frame(plane: PlaneModel, idxs: Sequence[int]) -> tuple[int
         pts = [plane.points[i] for i in quad]
         if not any(collinear(a, b, c) for a, b, c in combinations(pts, 3)):
             return quad
-    raise AssertionError("no quadrilateral among the affine points")
+    raise InvariantError("no quadrilateral among the affine points")
 
 
 def _frame_matrix(plane: PlaneModel, frame: Sequence[int]) -> Mat:
@@ -342,7 +339,7 @@ def _frame_matrix(plane: PlaneModel, frame: Sequence[int]) -> Mat:
     v1, v2, v3, v4 = (plane.points[i].rep for i in frame)
     cols = Mat.from_rows([v1, v2, v3]).transpose()
     lam = solve(cols, v4)
-    assert lam is not None and all(lam)
+    require(lam is not None and all(lam), "the frame is not in general position")
     return Mat.from_rows(
         [[(l * x) % MOD for x in v] for l, v in zip(lam, (v1, v2, v3))]
     )
@@ -373,7 +370,7 @@ def _extensions(
         beta = tuple(int(x) for x in row)
         key = tuple(beta[x] for x in wpos[:5])
         if key in completed:
-            raise AssertionError("two automorphisms share the images of five points")
+            raise InvariantError("two automorphisms share the images of five points")
         completed[key] = beta
     out = []
     for alpha, w in zip(alphas, wanted):
@@ -381,7 +378,7 @@ def _extensions(
         kappa = collineation_from_frames(frame, dst, plane)
         pm = kappa.point_map(plane)
         if any(pm[p] != pts[a] for p, a in zip(pts, alpha)):
-            raise AssertionError("the collineation does not extend the affinity")
+            raise InvariantError("the collineation does not extend the affinity")
         beta = completed.get(w[:5])
         ok = beta is not None and tuple(beta[x] for x in wpos) == w
         out.append((kappa, pm, beta if ok else None))
@@ -405,7 +402,7 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
         raise ValueError("alpha does not preserve the cut lines")
     ((kappa, _, beta),) = _extensions(m, g, [alpha])
     if beta is None:
-        raise AssertionError("no design automorphism extends the affinity")
+        raise InvariantError("no design automorphism extends the affinity")
     return kappa, beta
 
 

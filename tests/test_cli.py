@@ -462,6 +462,21 @@ def test_out_into_a_missing_directory_as_a_process(tmp_path):
     assert "Traceback" not in p.stderr
 
 
+def test_construct_and_verify_under_optimize(tmp_path):
+    # python -O strips assert statements; the runtime proofs must not depend on them
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    path = str(tmp_path / "design.json")
+    for args in (["construct", "--out", path], ["verify", path]):
+        p = subprocess.run(
+            [sys.executable, "-O", "-m", "witt12.cli", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines()[-1] == "OK"
+
+
 # values of the right JSON type that are still not point indices or
 # coefficients; each must be a parse error, not a design violation
 MALFORMED = {

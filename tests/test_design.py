@@ -7,11 +7,15 @@ breaks both the pin and the oracle comparison.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import witt12
 from witt12.design import (
     ConicExterior,
     LinePairMinusU,
@@ -136,6 +140,26 @@ def test_solver_frozen_examples(model):
     assert b.case == "B"
     assert b.block == (2, 3, 8, 9, 11, 12)
     assert b.determinant == 0
+
+
+def test_broken_certificate_raises_under_optimize():
+    # with the determinant forced to 0, the case A five-set (2, 3, 5, 6, 7)
+    # fails its certificate; python -O must not silence that
+    script = (
+        "import sys, witt12.design as d\n"
+        "if not sys.flags.optimize: raise SystemExit('not optimized')\n"
+        "d.det = lambda m: 0\n"
+        "d.solve_block_through((2, 3, 5, 6, 7))\n"
+    )
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    p = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert p.returncode == 1
+    assert p.stderr.strip().splitlines()[-1].startswith("witt12.checks.InvariantError: case A")
 
 
 def test_solver_agrees_with_lookup_everywhere(model):

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from witt12 import symmetry
+from witt12 import gf3, symmetry
 from witt12.design import construct
+from witt12.gf3 import Mat
 from witt12.plane import PLANE, collinear
 from witt12.symmetry import (
     Collineation,
@@ -45,6 +46,19 @@ def perms_of(n):
 def test_collineation_count(collineations):
     assert len(collineations) == 5616
     assert len({c.matrix for c in collineations}) == 5616
+
+
+def test_collineations_are_the_nonsingular_canonical_matrices(collineations):
+    # reference: filter every canonical matrix (first nonzero entry 1, in
+    # row-major lexicographic order after its leading zeros) by gf3.det
+    reference = []
+    for k in range(9):
+        for tail in itertools.product(range(3), repeat=8 - k):
+            flat = (0,) * k + (1,) + tail
+            m = (flat[0:3], flat[3:6], flat[6:9])
+            if gf3.det(Mat(m)) != 0:
+                reference.append(m)
+    assert [c.matrix for c in collineations] == reference
 
 
 def test_collineation_canonical_form():
