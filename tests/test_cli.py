@@ -293,7 +293,24 @@ REMARK3_DIGESTS = {
     ("#9", "#10"): "65e87a08373f4dd68c27ab95bc47d9cb0bed21124340334c99bc0d8702082257",
 }
 
-AUT_U7_DIGEST = "ef92d89a556b20b12d0fe4665f17740cee07237599b4dc2a0b00cd6ce99dce36"
+# sha256 of aut --format structured, indexed by U, pinned from the
+# output of the whole-group enumeration
+AUT_DIGESTS = [
+    "03db7939e5a60d0521b82e515fddd7cb3f88996b0eb87b3e56183bb5b0efd90b",
+    "5b4bce0a74e80af06d09f224c6f16a41f91481e9f458bfa915129233fc743bfb",
+    "0e6b33a9aeee570d59ab655eaeffce9536da8e37145e882df6c3f1f8c4b7420b",
+    "2d6b0d2af7382b7259590af106b6cb2f0b7a6b54c12bef73a6f89c94bda12cfa",
+    "b815aebe85c279841e26a9ee532b0bc544a0caf57de3f826dfb41fa2d148bfe0",
+    "c0c24815664c6e4010b9f0a2dfef2a16bed6c284ad1f6597a912d327f71d3fb4",
+    "dea890c956065d2270bca999cf2bbcafc44480bf8e72c9c4eb8185608e2960f5",
+    "ef92d89a556b20b12d0fe4665f17740cee07237599b4dc2a0b00cd6ce99dce36",
+    "fe06d47ee4a39b1520c3d6cdbc611b35f3b5fc742c7e2b47b5845f28706b2fa7",
+    "c045f9f21a6f463eab6777aad7cd83932f9249dfe875eec599ebaa2b7c0190ac",
+    "ee20ae0681c3abc4eaa6fec044c2907945237d1438f374c9c71abbc70e341d7f",
+    "054aa7c189e63c9bf862c992db1e2ea356aee5c9bb7e88632b6798515211818f",
+    "132d860dc2886b26786648ccc2afda79e9f2b9a49b2c9489e965542550b78773",
+]
+AUT_U7_DIGEST = AUT_DIGESTS[7]
 
 # (exit code, sha256 of stdout) of each command line, pinned from the
 # output of the CLI before every subcommand went through one emitter;
@@ -390,6 +407,13 @@ def test_aut_structured_output_is_pinned(capsys):
     code, out, _ = run(capsys, "aut", "--u", "#7", "--format", "structured")
     assert code == 0
     assert sha256(out) == AUT_U7_DIGEST
+
+
+@pytest.mark.parametrize("u", [u for u in range(13) if u != 7])  # #7 is pinned above
+def test_aut_structured_output_is_pinned_at_every_u(capsys, u):
+    code, out, _ = run(capsys, "aut", "--u", f"#{u}", "--format", "structured")
+    assert code == 0
+    assert sha256(out) == AUT_DIGESTS[u]
 
 
 @pytest.fixture(scope="module")

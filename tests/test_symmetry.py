@@ -8,6 +8,7 @@ extension, completed from five images, is checked against the full
 enumeration as the reference.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -197,6 +198,32 @@ def test_generators_are_pinned(summary):
         (1, 0, 2, 3, 4, 5, 9, 8, 7, 6, 11, 10),
         (7, 0, 1, 2, 3, 11, 4, 10, 9, 8, 5, 6),
     )
+
+
+# sha256 of repr() of the sorted rows as a list of int tuples, indexed
+# by U, pinned from the output of the 95040-prefix forcing sweep
+ALL_AUTOMORPHISMS_DIGESTS = [
+    "4ddf2a38fe42cd5e59aeb3147fb861770dcfc511460dfe2ed4d073916496cc43",
+    "45c6961b6d40b8e91bea90f364dd19ec5b7b3469d3e73976375bb32b266178d1",
+    "b81996ffa53c7ada4f4c35e0a02dfa2b009a63862a929e96c48f51cae4206207",
+    "63876ffbcc7bdbd0ac111fa3081c7d4943966b12508ada9ea2c448042e04fcea",
+    "3869c92919484e22c9bb46df607f8839ff2c5cd80f747e285616a13f195f33fb",
+    "2a66ad556a567a83eb848523648be2bf4e6e45d5973f576154f908abfe8ed82f",
+    "b70aa11def44c225c76c282ed47c1964e44421f44e7d2738ad9d16a1c53d6818",
+    "542b60b8268ce712d5dcb27894232dce6c24dd305633b4ebdbd7877e174684ed",
+    "ec19bb7882c4ef6d99e46ec5d39fe82d53407414e561c3da58a697557172fdde",
+    "9a342291b2b29426f43b28b9b711a7d0e4f948a17685635164d2b44eaade9142",
+    "17e88c5b2a9bdb84163f5e17fcdc55ed1e1a7c8994e42d53b230a569a1a1f377",
+    "f8444e1ec2fc7af7b1cf4f592952a0ecee3a6c998834d8e8e9d9f96b70348e0a",
+    "86a0bf9587b4e4a71e75a19c384aff4c88a8adcf9ad8bd7c080936e83b665c49",
+]
+
+
+@pytest.mark.parametrize("u", range(13))
+def test_all_automorphisms_are_pinned(u):
+    rows = symmetry.all_automorphisms(construct(PLANE.points[u]))
+    text = repr([tuple(int(x) for x in r) for r in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_AUTOMORPHISMS_DIGESTS[u]
 
 
 def test_generating_pair_is_required(autos):
