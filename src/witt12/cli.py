@@ -217,7 +217,7 @@ def cmd_derive(args: argparse.Namespace) -> Output:
 def cmd_aut(args: argparse.Namespace) -> Output:
     u = _parse_u(args.u)
     model = design.construct(u)
-    summary = symmetry.automorphism_group(symmetry.all_automorphisms(model))
+    summary = symmetry.automorphism_group(model)
     stab = symmetry.stabilizer_of(PLANE, u)
     induced = {symmetry.induced_permutation(model, c) for c in stab}
     payload = {

@@ -12,10 +12,10 @@ the unique block over their images, pinning the sixth point.  Where the
 forcing chain stalls (the assigned points fill out a single block) the
 engine branches over all unused images.  Survivors are finally checked
 against all 132 blocks, so the forcing only ever discards candidates,
-never admits one.  Fed every ordered 5-tuple, the engine enumerates the
-whole group; fed the images of five affine points under an affinity
-(Remark 3), it yields the one automorphism extending it, since the group
-is sharply 5-transitive.  It runs with numpy over all rows at once.
+never admits one.  Completing 46 frames gives a certified stabilizer
+chain of positions 0..4, proving the group sharply 5-transitive of order
+12*11*10*9*8; products along the chain list the group, and five look-ups
+give the automorphism extending an affinity (Remark 3).
 
 Affinities of the 9-point residue of a line are enumerated by a small
 backtracking search over point images that requires every completed
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
+from math import prod
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .checks import InvariantError, affine_residue, require
 from .design import WittModel
@@ -136,14 +135,14 @@ def is_design_automorphism(m: WittModel, perm: Perm) -> bool:
     )
 
 
-def _forcing_program(frame: Sequence[int], sixth: np.ndarray) -> list[tuple]:
+def _forcing_program(frame: Sequence[int], sixth: dict[int, int]) -> list[tuple]:
     """Static schedule: which image is forced next, and from which five points."""
     aset = set(frame)
     program: list[tuple] = []
     while len(aset) < 12:
         step = None
         for sub in combinations(sorted(aset), 5):
-            x = int(sixth[sum(1 << s for s in sub)])
+            x = sixth[sum(1 << s for s in sub)]
             if x not in aset:
                 step = ("force", sub, x)
                 break
@@ -155,72 +154,81 @@ def _forcing_program(frame: Sequence[int], sixth: np.ndarray) -> list[tuple]:
 
 
 def complete_automorphisms(
-    m: WittModel, frame: Sequence[int], images: np.ndarray | Sequence[Sequence[int]]
-) -> np.ndarray:
-    """Every automorphism sending the frame to one row of images, as array rows.
+    m: WittModel, frame: Sequence[int], images: Iterable[Sequence[int]]
+) -> list[Perm]:
+    """Every automorphism sending the frame to one row of images.
 
-    frame holds five distinct W-positions and images an (n, 5) array of
-    their candidate images.  Exhaustive: any block-preserving
+    frame holds five distinct W-positions and each row of images five
+    distinct candidate images.  Exhaustive: any block-preserving
     permutation that maps the frame to some row survives each necessary
     forcing step and passes the final full block check; conversely only
     permutations passing the full check are returned.  Surviving rows
     keep the order of the image rows they extend.
     """
-    frame = tuple(frame)
-    images = np.asarray(images, dtype=np.int16).reshape(-1, 5)
-    if len(set(frame) & set(range(12))) != 5 or ((images < 0) | (images >= 12)).any():
-        raise ValueError("the frame must be five distinct points of W, and images lie in W")
-    # bitmask tables: is_block[mask of a block], and sixth[mask of five
-    # points] is the sixth point of their block (-1 off 5-sets)
-    is_block = np.zeros(1 << 12, dtype=bool)
-    sixth = np.full(1 << 12, -1, dtype=np.int16)
-    for b in m.local_blocks:
-        bm = sum(1 << x for x in b)
-        is_block[bm] = True
-        for x in b:
-            sixth[bm ^ (1 << x)] = x
-    img = np.full((len(images), 12), -1, dtype=np.int16)
-    img[:, frame] = images
-    used = np.bitwise_or.reduce(1 << images, axis=1)
-    if (sixth[used] < 0).any():  # sixth is -1 unless the mask holds five points
-        raise ValueError("every image row must be five distinct points of W")
-
+    frame, w = tuple(frame), set(range(12))
+    if len(frame) != 5 or len(set(frame) & w) != 5:
+        raise ValueError("the frame must be five distinct points of W")
+    # sixth[bitmask of five points] is the sixth point of their block
+    sixth = {sum(1 << y for y in b if y != x): x for b in m.local_blocks for x in b}
+    rows = []
+    for row in images:
+        row = [int(y) for y in row]
+        if len(row) != 5 or len(set(row) & w) != 5:
+            raise ValueError("every image row must be five distinct points of W")
+        img = [row[frame.index(j)] if j in frame else -1 for j in range(12)]
+        rows.append((img, sum(1 << y for y in row)))
     for step in _forcing_program(frame, sixth):
-        if step[0] == "force":
-            _, sub, x = step
-            forced = sixth[np.bitwise_or.reduce(1 << img[:, sub], axis=1)]
-            require((forced >= 0).all(), "forcing met a repeated image")
-            keep = ((used >> forced) & 1) == 0
-            img, used, forced = img[keep], used[keep], forced[keep]
-            img[:, x] = forced
-            used |= 1 << forced
-        else:
-            _, x = step
-            avail = ((used[:, None] >> np.arange(12, dtype=np.int16)) & 1) == 0
-            ridx, cand = np.nonzero(avail)
-            img, used = img[ridx], used[ridx]
-            img[:, x] = cand.astype(np.int16)
-            used |= (1 << cand).astype(np.int16)
-
-    ok = np.ones(len(img), dtype=bool)
-    for b in m.local_blocks:
-        ok &= is_block[np.bitwise_or.reduce(1 << img[:, b], axis=1)]
-    return img[ok]
+        # forced: the sixth point of the block over five assigned images
+        force, x = step[0] == "force", step[-1]
+        rows = [
+            (img[:x] + [y] + img[x + 1:], used | 1 << y)
+            for img, used in rows
+            for y in ((sixth[sum(1 << img[s] for s in step[1])],) if force else range(12))
+            if not used >> y & 1
+        ]
+    return [tuple(img) for img, _ in rows if is_design_automorphism(m, img)]
 
 
-def all_automorphisms(m: WittModel) -> np.ndarray:
-    """Every permutation of W preserving the block set, as rows of an array.
+@lru_cache(maxsize=13)
+def _chain(m: WittModel) -> tuple[tuple[Perm, ...], ...]:
+    """Stabilizer chain of positions 0..4, certified by the forcing engine.
 
-    The engine completes every ordered 5-tuple of images of positions
-    0..4, so no automorphism is missed.  Rows are sorted
-    lexicographically.
+    Level i holds, for k = i..11, the completion of (0..i-1, k, the 4-i
+    smallest unused points).  Each of the 46 distinct rows must complete
+    to exactly one automorphism.  The engine is exhaustive, so the
+    identity row proves the pointwise stabilizer of 0..4 trivial and
+    level i proves the stabilizer of 0..i-1 transitive on the other 12-i
+    points: |Aut| = 12*11*10*9*8 and Aut is sharply 5-transitive.
     """
-    prefixes = np.fromiter(
-        (x for tup in permutations(range(12), 5) for x in tup), dtype=np.int16
-    ).reshape(-1, 5)
-    result = complete_automorphisms(m, range(5), prefixes)
-    order = np.lexsort(tuple(result[:, c] for c in range(11, -1, -1)))
-    return result[order]
+    wanted = [
+        [(*range(i), k, *[x for x in range(i, 12) if x != k][: 4 - i]) for k in range(i, 12)]
+        for i in range(5)
+    ]
+    rows = list(dict.fromkeys(r for level in wanted for r in level))
+    completed = complete_automorphisms(m, range(5), rows)
+    if [p[:5] for p in completed] != rows:
+        raise InvariantError("a chain frame does not complete to exactly one automorphism")
+    by_images = dict(zip(rows, completed))
+    return tuple(tuple(by_images[r] for r in level) for level in wanted)
+
+
+def _carrier(chain: Sequence[Sequence[Perm]], images: Sequence[int]) -> Perm:
+    """The chain's product sending positions 0..4 to the five images."""
+    g = identity_perm()
+    for i, x in enumerate(images):
+        # g sends 0..i-1 to the first i images; prepend the level-i
+        # element (fixing 0..i-1) that sends i to g's preimage of x
+        g = compose_perm(chain[i][g.index(x) - i], g)
+    return g
+
+
+def all_automorphisms(m: WittModel) -> list[Perm]:
+    """Every permutation of W preserving the block set, sorted: each is
+    one product of the chain's levels, u4 applied first and u0 last."""
+    out = [identity_perm()]
+    for level in reversed(_chain(m)):
+        out = [compose_perm(p, u) for u in level for p in out]
+    return sorted(out)
 
 
 def group_closure(generators: Sequence[Perm]) -> set[Perm]:
@@ -249,26 +257,17 @@ class GroupSummary:
     sharply_5_transitive: bool
 
 
-def _generating_pair(automorphisms: np.ndarray) -> tuple[Perm, Perm]:
-    # the first row with each image of point 0 spreads the candidates
-    # across cosets; some pair of those generates quickly
-    _, first = np.unique(automorphisms[:, 0], return_index=True)
-    leaders = [tuple(int(x) for x in automorphisms[i]) for i in sorted(first)]
-    leaders = [e for e in leaders if e != identity_perm(len(e))]
-    for a, b in combinations(leaders, 2):
-        if len(group_closure([a, b])) == len(automorphisms):
-            return (a, b)
-    raise InvariantError("no generating pair among the coset leaders: invariant broken")
-
-
-def automorphism_group(automorphisms: np.ndarray) -> GroupSummary:
+def automorphism_group(m: WittModel) -> GroupSummary:
     """Order, a small generating set, and the sharp 5-transitivity
-    certificate of the enumerated automorphisms (all_automorphisms)."""
-    order = len(automorphisms)
-    prefixes = np.unique(automorphisms[:, :5], axis=0)
-    sharp = order == 12 * 11 * 10 * 9 * 8 and len(prefixes) == order
-    gens = _generating_pair(automorphisms)
-    return GroupSummary(order=order, generators=gens, sharply_5_transitive=sharp)
+    certificate of the design's automorphism group, from the chain."""
+    chain = _chain(m)
+    order = prod(len(level) for level in chain)
+    # the level-0 rows are the lexicographically least automorphism with
+    # each image of point 0; some pair of them generates quickly
+    for pair in combinations(chain[0][1:], 2):
+        if len(group_closure(pair)) == order:
+            return GroupSummary(order, pair, order == 12 * 11 * 10 * 9 * 8)
+    raise InvariantError("no generating pair among the coset leaders: invariant broken")
 
 
 def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, int]:
@@ -358,30 +357,24 @@ def _extensions(
     m: WittModel, g: ProjLine, alphas: Sequence[Perm]
 ) -> list[tuple[Collineation, Perm, Perm | None]]:
     """For each affinity of g's residue: the collineation kappa extending
-    it, kappa's point map, and the automorphism completing its images of
-    the first five affine points, or None unless it agrees on all nine."""
+    it, kappa's point map, and the automorphism sending the first five
+    affine points to their images, or None unless it agrees on all nine."""
     plane = m.plane
     pts = affine_residue(plane, g).points
     frame = _general_position_frame(plane, pts)
     wpos = [m.w_position[p] for p in pts]
-    wanted = [tuple(wpos[a] for a in alpha) for alpha in alphas]
-    completed: dict[tuple[int, ...], Perm] = {}
-    for row in complete_automorphisms(m, wpos[:5], [w[:5] for w in wanted]):
-        beta = tuple(int(x) for x in row)
-        key = tuple(beta[x] for x in wpos[:5])
-        if key in completed:
-            raise InvariantError("two automorphisms share the images of five points")
-        completed[key] = beta
+    chain = _chain(m)
+    to_frame = invert_perm(_carrier(chain, wpos[:5]))
     out = []
-    for alpha, w in zip(alphas, wanted):
+    for alpha in alphas:
+        w = tuple(wpos[a] for a in alpha)
         dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
         kappa = collineation_from_frames(frame, dst, plane)
         pm = kappa.point_map(plane)
         if any(pm[p] != pts[a] for p, a in zip(pts, alpha)):
             raise InvariantError("the collineation does not extend the affinity")
-        beta = completed.get(w[:5])
-        ok = beta is not None and tuple(beta[x] for x in wpos) == w
-        out.append((kappa, pm, beta if ok else None))
+        beta = compose_perm(to_frame, _carrier(chain, w[:5]))
+        out.append((kappa, pm, beta if tuple(beta[x] for x in wpos) == w else None))
     return out
 
 

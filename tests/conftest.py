@@ -5,6 +5,7 @@ collineation group) are session scoped so the suite builds each exactly
 once.
 """
 
+import numpy as np
 import pytest
 
 from witt12.design import construct
@@ -24,12 +25,13 @@ def model():
 
 @pytest.fixture(scope="session")
 def autos(model):
-    return all_automorphisms(model)
+    # an array, so the numpy oracles index it by columns
+    return np.array(all_automorphisms(model), dtype=np.int16)
 
 
 @pytest.fixture(scope="session")
-def summary(autos):
-    return automorphism_group(autos)
+def summary(model):
+    return automorphism_group(model)
 
 
 @pytest.fixture(scope="session")

@@ -486,6 +486,46 @@ def test_out_into_a_missing_directory_as_a_process(tmp_path):
     assert "Traceback" not in p.stderr
 
 
+# every subcommand, including aut and remark3, with numpy unimportable
+NO_NUMPY_COMMANDS = [
+    ["construct", "--format", "structured"],
+    ["verify", "{design}"],
+    ["block", "--method", "solve", "#2", "#3", "#8", "#9", "#11"],
+    ["table"],
+    ["classify", "--witnesses"],
+    ["derive", "--line", "#0"],
+    ["aut"],
+    ["remark3", "--line", "#0"],
+]
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from witt12.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_without_numpy(capsys, design_file):
+    commands = [[a.format(design=design_file) for a in argv] for argv in NO_NUMPY_COMMANDS]
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    p = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert p.returncode == 0, p.stderr
+    expected = [list(run(capsys, *argv)[:2]) for argv in commands]
+    assert json.loads(p.stdout) == expected
+
+
 def test_construct_and_verify_under_optimize(tmp_path):
     # python -O strips assert statements; the runtime proofs must not depend on them
     src = os.path.dirname(os.path.dirname(witt12.__file__))

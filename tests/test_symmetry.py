@@ -4,7 +4,7 @@ The automorphism list is re-verified here with machinery the search
 never touches: a vectorized block-image comparison over all 95040
 candidates, and a full 9!-scan oracle for the affinity count of one
 line.  The group order and transitivity degree are pinned.  Each Remark 3
-extension, completed from five images, is checked against the full
+extension, read off the stabilizer chain, is checked against the full
 enumeration as the reference.
 """
 
@@ -226,11 +226,11 @@ def test_all_automorphisms_are_pinned(u):
     assert hashlib.sha256(text.encode()).hexdigest() == ALL_AUTOMORPHISMS_DIGESTS[u]
 
 
-def test_generating_pair_is_required(autos):
-    # the identity and one involution: no pair of coset leaders to try
-    involution = next(row for row in autos[1:] if (row[row] == np.arange(12)).all())
+def test_generating_pair_is_required(model, monkeypatch):
+    # a closure that never grows: no pair of coset leaders reaches the order
+    monkeypatch.setattr(symmetry, "group_closure", lambda gens: set(gens))
     with pytest.raises(AssertionError):
-        symmetry.automorphism_group(np.stack([autos[0], involution]))
+        symmetry.automorphism_group(model)
 
 
 def test_engine_completes_a_frame_to_the_listed_automorphisms(model, autos):
@@ -249,6 +249,14 @@ def test_engine_rejects_repeated_points(model):
         complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 3]])
     with pytest.raises(ValueError):
         complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 12]])
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 4, 99), [[0, 1, 2, 3, 4]])
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 4, 5), [[0, 1, 2, 3, 4]])
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3]])
+    with pytest.raises(ValueError):
+        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 4, 5]])
 
 
 def test_non_automorphism_is_rejected(model):
@@ -381,27 +389,39 @@ def test_remark3_never_enumerates_the_group(model, lines_through_u, monkeypatch)
     assert verify_extension_formula(model, g).failures == ()
 
 
-def test_two_completions_of_one_image_row_raise(model, lines_through_u, monkeypatch):
+def test_two_completions_of_one_image_row_raise(lines_through_u, monkeypatch):
+    # a fresh model each time, so no certified chain is cached for it
     engine = symmetry.complete_automorphisms
     monkeypatch.setattr(
-        symmetry, "complete_automorphisms", lambda *a: np.repeat(engine(*a), 2, axis=0)
+        symmetry, "complete_automorphisms", lambda *a: [r for r in engine(*a) for _ in (0, 1)]
     )
     with pytest.raises(AssertionError):
-        extend_affinity(model, lines_through_u[0], identity_perm(9))
+        extend_affinity(construct(), lines_through_u[0], identity_perm(9))
+    with pytest.raises(AssertionError):
+        symmetry.automorphism_group(construct())
+    # and a frame that completes to nothing
+    monkeypatch.setattr(symmetry, "complete_automorphisms", lambda *a: engine(*a)[:7] + engine(*a)[8:])
+    with pytest.raises(AssertionError):
+        extend_affinity(construct(), lines_through_u[0], identity_perm(9))
+    with pytest.raises(AssertionError):
+        symmetry.automorphism_group(construct())
 
 
 def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_u, monkeypatch):
     g = lines_through_u[0]
     wpos = [model.w_position[p.index] for p in PLANE.points if p.index not in g.points]
-    a, b = wpos[5], wpos[6]  # affine points outside the five-point frame
-    engine = symmetry.complete_automorphisms
+    swap = {wpos[5]: wpos[6], wpos[6]: wpos[5]}  # affine points outside the frame
+    carrier = symmetry._carrier
+    calls = []
 
-    def swapped(*args):
-        rows = engine(*args)
-        rows[:, [a, b]] = rows[:, [b, a]]
-        return rows
+    def swapped(chain, images):
+        # the frame's own carrier comes first; every later one sends two
+        # points to each other's images
+        calls.append(images)
+        c = carrier(chain, images)
+        return c if len(calls) == 1 else tuple(swap.get(x, x) for x in c)
 
-    monkeypatch.setattr(symmetry, "complete_automorphisms", swapped)
+    monkeypatch.setattr(symmetry, "_carrier", swapped)
     report = verify_extension_formula(model, g)
     assert report.checks == 0
     assert len(report.failures) == 432
