@@ -15,7 +15,9 @@ against all 132 blocks, so the forcing only ever discards candidates,
 never admits one.  Completing 46 frames gives a certified stabilizer
 chain of positions 0..4, proving the group sharply 5-transitive of order
 12*11*10*9*8; products along the chain list the group, and five look-ups
-give the automorphism extending an affinity (Remark 3).
+give the automorphism extending an affinity (Remark 3).  The reported
+generating pair is certified by a deterministic Schreier-Sims: the
+group it generates has the chain's order, so it is the whole group.
 
 Affinities of the 9-point residue of a line are enumerated by a small
 backtracking search over point images that requires every completed
@@ -71,7 +73,8 @@ class Collineation:
 
     def point_map(self, plane: PlaneModel = PLANE) -> tuple[int, ...]:
         """Images of all 13 points, by index."""
-        return tuple(self.apply_point(p, plane).index for p in plane.points)
+        index = plane._point_index
+        return tuple(index[_image(self.matrix, p.rep)] for p in plane.points)
 
     def compose(self, other: "Collineation") -> "Collineation":
         """Apply self first, then other (row-vector action composes left to right)."""
@@ -79,6 +82,16 @@ class Collineation:
 
     def inverse(self) -> "Collineation":
         return Collineation.from_matrix(mat_inv(Mat(self.matrix)).rows)
+
+
+def _image(m: Matrix3, v: Sequence[int]) -> tuple[int, int, int]:
+    """Canonical representative of v times m: apply_vec without a Mat."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    r = ((x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD)
+    if (r[0] or r[1] or r[2]) == 2:
+        return ((2 * r[0]) % MOD, (2 * r[1]) % MOD, (2 * r[2]) % MOD)
+    return r
 
 
 @lru_cache(maxsize=2)
@@ -99,10 +112,7 @@ def all_collineations(plane: PlaneModel = PLANE) -> tuple[Collineation, ...]:
 def stabilizer_of(plane: PlaneModel, p: ProjPoint) -> tuple[Collineation, ...]:
     """All collineations fixing the given point."""
     rep = p.rep
-    return tuple(
-        c for c in all_collineations(plane)
-        if plane.point_from_vec(c.apply_vec(rep)).index == p.index
-    )
+    return tuple(c for c in all_collineations(plane) if _image(c.matrix, rep) == rep)
 
 
 def induced_permutation(m: WittModel, c: Collineation) -> Perm:
@@ -250,6 +260,74 @@ def group_closure(generators: Sequence[Perm]) -> set[Perm]:
     return seen
 
 
+def group_order(generators: Sequence[Perm]) -> int:
+    """Order of the group the permutations generate, by a deterministic
+    Schreier-Sims: the product of the basic orbit lengths.
+
+    Level i holds the strong generators fixing base[:i] and a
+    transversal of their orbit of base[i].  Every Schreier generator of
+    a level must sift to the identity through the levels below it; one
+    that does not is a new strong generator.  It fixes base[:j], where j
+    is the level its sift stopped at, so it joins the generating set of
+    every level 0..j, and checking resumes at level j.
+    """
+    if not generators:
+        return 1
+    ident = identity_perm(len(generators[0]))
+    base: list[int] = []
+    strong: list[list[Perm]] = []
+    # trans[i][x]: (u, u^-1) with u in <strong[i]> sending base[i] to x
+    trans: list[dict[int, tuple[Perm, Perm]]] = []
+
+    def sift(g: Perm) -> tuple[Perm, int]:
+        for i, b in enumerate(base):
+            u = trans[i].get(g[b])
+            if u is None:
+                return g, i
+            g = compose_perm(g, u[1])
+        return g, len(base)
+
+    def add(g: Perm, depth: int) -> None:
+        if depth == len(base):
+            base.append(next(x for x, y in enumerate(g) if x != y))
+            strong.append([])
+            trans.append({})
+        for i in range(depth + 1):
+            strong[i].append(g)
+            t = {base[i]: (ident, ident)}
+            orbit = [base[i]]
+            for x in orbit:
+                for s in strong[i]:
+                    if s[x] not in t:
+                        u = compose_perm(t[x][0], s)
+                        t[s[x]] = (u, invert_perm(u))
+                        orbit.append(s[x])
+            trans[i] = t
+
+    def unsifted(i: int) -> tuple[Perm, int] | None:
+        t = trans[i]
+        for x, (u, _) in t.items():
+            for s in strong[i]:
+                h, j = sift(compose_perm(compose_perm(u, s), t[s[x]][1]))
+                if h != ident:
+                    return h, j
+        return None
+
+    for g in generators:
+        h, j = sift(g)
+        if h != ident:
+            add(h, j)
+    i = len(base) - 1
+    while i >= 0:
+        found = unsifted(i)
+        if found is None:
+            i -= 1
+        else:
+            add(*found)
+            i = found[1]
+    return prod(len(t) for t in trans)
+
+
 @dataclass(frozen=True)
 class GroupSummary:
     order: int
@@ -263,9 +341,10 @@ def automorphism_group(m: WittModel) -> GroupSummary:
     chain = _chain(m)
     order = prod(len(level) for level in chain)
     # the level-0 rows are the lexicographically least automorphism with
-    # each image of point 0; some pair of them generates quickly
+    # each image of point 0; the first pair whose Schreier-Sims order is
+    # the chain's generates the whole group
     for pair in combinations(chain[0][1:], 2):
-        if len(group_closure(pair)) == order:
+        if group_order(pair) == order:
             return GroupSummary(order, pair, order == 12 * 11 * 10 * 9 * 8)
     raise InvariantError("no generating pair among the coset leaders: invariant broken")
 
@@ -348,9 +427,12 @@ def collineation_from_frames(
     src: Sequence[int], dst: Sequence[int], plane: PlaneModel = PLANE
 ) -> Collineation:
     """The unique collineation sending one 4-point frame to another."""
-    a = _frame_matrix(plane, src)
-    b = _frame_matrix(plane, dst)
-    return Collineation.from_matrix(mat_mul(mat_inv(a), b).rows)
+    return _collineation_onto(mat_inv(_frame_matrix(plane, src)), dst, plane)
+
+
+def _collineation_onto(src_inv: Mat, dst: Sequence[int], plane: PlaneModel) -> Collineation:
+    """collineation_from_frames, given the inverse of the source frame's matrix."""
+    return Collineation.from_matrix(mat_mul(src_inv, _frame_matrix(plane, dst)).rows)
 
 
 def _extensions(
@@ -363,13 +445,14 @@ def _extensions(
     pts = affine_residue(plane, g).points
     frame = _general_position_frame(plane, pts)
     wpos = [m.w_position[p] for p in pts]
+    frame_inv = mat_inv(_frame_matrix(plane, frame))
     chain = _chain(m)
     to_frame = invert_perm(_carrier(chain, wpos[:5]))
     out = []
     for alpha in alphas:
         w = tuple(wpos[a] for a in alpha)
         dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
-        kappa = collineation_from_frames(frame, dst, plane)
+        kappa = _collineation_onto(frame_inv, dst, plane)
         pm = kappa.point_map(plane)
         if any(pm[p] != pts[a] for p, a in zip(pts, alpha)):
             raise InvariantError("the collineation does not extend the affinity")

@@ -10,6 +10,7 @@ enumeration as the reference.
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from witt12.symmetry import (
     elliptic_involution,
     extend_affinity,
     group_closure,
+    group_order,
     identity_perm,
     induced_permutation,
     invert_perm,
     is_design_automorphism,
+    stabilizer_of,
     verify_extension_formula,
 )
 
@@ -93,6 +96,20 @@ def test_point_maps_preserve_collinearity(collineations):
 def test_point_maps_are_faithful(collineations):
     maps = {c.point_map() for c in collineations}
     assert len(maps) == 5616
+
+
+def test_point_map_against_apply_vec(collineations):
+    # the inline point map against the Mat path, for every collineation
+    for c in collineations:
+        assert c.point_map() == tuple(
+            PLANE.point_from_vec(c.apply_vec(p.rep)).index for p in PLANE.points
+        )
+
+
+@pytest.mark.parametrize("u", range(13))
+def test_stabilizer_against_apply_point(collineations, u):
+    p = PLANE.points[u]
+    assert stabilizer_of(PLANE, p) == tuple(c for c in collineations if c.apply_point(p) == p)
 
 
 def test_collineation_from_frames():
@@ -227,10 +244,54 @@ def test_all_automorphisms_are_pinned(u):
 
 
 def test_generating_pair_is_required(model, monkeypatch):
-    # a closure that never grows: no pair of coset leaders reaches the order
-    monkeypatch.setattr(symmetry, "group_closure", lambda gens: set(gens))
+    # an order that never grows: no pair of coset leaders reaches the order
+    monkeypatch.setattr(symmetry, "group_order", lambda gens: 1)
     with pytest.raises(AssertionError):
         symmetry.automorphism_group(model)
+
+
+def test_automorphism_group_never_closes(monkeypatch):
+    calls = []
+    closure = symmetry.group_closure
+    monkeypatch.setattr(symmetry, "group_closure", lambda gens: calls.append(gens) or closure(gens))
+    assert symmetry.automorphism_group(construct(PLANE.points[9])).order == 95040
+    assert calls == []
+
+
+# ------------------------------------------------------------- Schreier-Sims
+
+
+@pytest.mark.parametrize("u", (4, 9))
+def test_group_order_of_every_leader_pair(u):
+    chain = symmetry._chain(construct(PLANE.points[u]))
+    for pair in itertools.combinations(chain[0][1:], 2):
+        assert group_order(pair) == len(group_closure(pair))
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(perms_of(n), min_size=1, max_size=3)))
+def test_group_order_of_random_subgroups(gens):
+    assert group_order(gens) == len(group_closure(gens))
+
+
+def test_group_order_of_s12_and_a12():
+    cycle = tuple(range(1, 12)) + (0,)
+    swap = (1, 0) + tuple(range(2, 12))
+    assert group_order([cycle, swap]) == math.factorial(12)
+    # the 3-cycles (0 1 k) generate the alternating group
+    three_cycles = [tuple({0: 1, 1: k, k: 0}.get(x, x) for x in range(12)) for k in range(2, 12)]
+    assert group_order(three_cycles) == math.factorial(12) // 2
+
+
+def test_group_order_adds_strong_generators_at_every_level():
+    # coset leaders 1 and 6 of point 0 at U = #4; a Schreier-Sims that
+    # adds a new strong generator only at the level its sift stopped at
+    # reads 1280 for this group
+    pair = (
+        (1, 0, 2, 3, 4, 5, 9, 8, 7, 6, 11, 10),
+        (6, 0, 1, 2, 3, 9, 8, 4, 7, 5, 10, 11),
+    )
+    assert len(group_closure(pair)) == 1440
+    assert group_order(pair) == 1440
 
 
 def test_engine_completes_a_frame_to_the_listed_automorphisms(model, autos):
@@ -431,7 +492,7 @@ def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_
 def test_collineation_disagreeing_with_the_affinity_raises(model, lines_through_u, monkeypatch):
     # kappa must restrict to alpha on the nine affine points; the identity
     # does so only for the identity affinity
-    monkeypatch.setattr(symmetry, "collineation_from_frames", lambda *a: Collineation.identity())
+    monkeypatch.setattr(symmetry, "_collineation_onto", lambda *a: Collineation.identity())
     with pytest.raises(AssertionError):
         verify_extension_formula(model, lines_through_u[0])
 
