@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Median benchmark metrics over several seeds, written to one JSON file.
 
-A thin driver over ``perfbench/run.py``: for each seed and each of the
+A thin wrapper over ``perfbench/run.py``: for each seed and each of the
 workloads of BENCHMARK.json it runs the untraced benchmark (the
 end-to-end metrics), and once per workload the traced one (the per-layer
 metrics, first seed only), each for BENCHMARK.json's ``run_seconds``.

@@ -3,9 +3,10 @@
 The automorphism list is re-verified here with machinery the search
 never touches: a vectorized block-image comparison over all 95040
 candidates, and a full 9!-scan oracle for the affinity count of one
-line.  The group order and transitivity degree are pinned.  Each Remark 3
-extension, read off the stabilizer chain, is checked against the full
-enumeration as the reference.
+line.  The group order and transitivity degree are pinned, and the
+Schreier-Sims order is checked against the closure of the generators.
+Each Remark 3 extension, read off the stabilizer chain, is checked
+against the full enumeration as the reference.
 """
 
 import hashlib
