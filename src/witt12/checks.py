@@ -10,10 +10,10 @@ points, the number of blocks containing it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Hashable, Iterable, Sequence, Union
+from operator import attrgetter
+from typing import Any, Hashable, Iterable, Sequence, Union
 
 
 class InvariantError(AssertionError):
@@ -26,8 +26,73 @@ def require(cond: object, msg: str) -> None:
         raise InvariantError(msg)
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+_setfield = object.__setattr__
+
+
+class Record:
+    """Immutable value with named fields: the class annotations, in order.
+
+    Construction takes the fields positionally or by keyword; a keyword
+    left out takes the class attribute of that name as its default, and
+    a ``__post_init__`` hook runs after assignment.  Records compare and
+    hash as the tuple of their fields, and only against their own type.
+    ``_fields`` names the fields; the underscore, as in a namedtuple,
+    keeps it clear of them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*fields)  # a bare value, not a tuple, for one field
+        cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for f, v in zip(fields, args):
+            _setfield(self, f, v)  # not via __dict__, which would slow every read
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, Any]) -> tuple:
+        # positional values first, then keywords, then class-attribute defaults
+        fields, missing = cls._fields, object()
+        rest = tuple(
+            kwargs.pop(f) if f in kwargs else getattr(cls, f, missing) for f in fields[len(args):]
+        )
+        if len(args) > len(fields) or kwargs or any(v is missing for v in rest):
+            names = ", ".join(fields)
+            raise TypeError(f"{cls.__qualname__}({names}): an argument is missing, repeated or unknown")
+        return args + rest
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class IncidenceStructure(Record):
     points: tuple[Hashable, ...]
     blocks: tuple[tuple[Hashable, ...], ...]
 
@@ -52,16 +117,14 @@ class IncidenceStructure:
         object.__setattr__(self, "blocks", tuple(sorted(canon)))
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(Record):
     t: int
     v: int
     k: int
     lambda_: int
 
 
-@dataclass(frozen=True)
-class DesignViolation:
+class DesignViolation(Record):
     """Concrete counterexample: either a deviant block or a miscovered subset."""
 
     kind: str  # "block-size" or "coverage"

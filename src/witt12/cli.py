@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from typing import Any, Callable, Sequence
 
 from . import checks, design, designfile, symmetry
@@ -83,7 +83,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
         return report, [f"VIOLATION: {e}"], 1
     if isinstance(result, checks.DesignViolation):
         v = result
-        report["violation"] = asdict(v)
+        report["violation"] = {f: getattr(v, f) for f in v._fields}
         text = f"VIOLATION: {v.kind} at {v.witness}: got {v.count}, expected {v.expected}"
         return report, [text], 1
     cascade = checks.lambda_cascade(result)
@@ -338,7 +338,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     text = _render(payload, text_lines, args.format or ("structured" if args.out else "table"))
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as e:  # also BrokenPipeError
+            # the interpreter flushes stdout again at exit; point it at the
+            # null device so that flush cannot fail and print a traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+            return 2
         return code
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

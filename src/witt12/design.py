@@ -19,11 +19,10 @@ without consulting the constructed block list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
 
-from .checks import IncidenceStructure, require
+from .checks import IncidenceStructure, Record, require
 from .gf3 import MOD, Mat, det, null_space
 from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
 from .quadrics import (
@@ -39,22 +38,19 @@ DEFAULT_U_INDEX = 4  # the point 1:0:0
 Block = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConicExterior:
+class ConicExterior(Record):
     """Block = external points of the witness conic; U is internal."""
 
     form: QuadraticForm
 
 
-@dataclass(frozen=True)
-class SymmetricDifference:
+class SymmetricDifference(Record):
     """Block = symmetric difference of two lines, both avoiding U."""
 
     lines: tuple[ProjLine, ProjLine]
 
 
-@dataclass(frozen=True)
-class LinePairMinusU:
+class LinePairMinusU(Record):
     """Block = union of two lines through U, with U removed."""
 
     lines: tuple[ProjLine, ProjLine]
@@ -63,8 +59,7 @@ class LinePairMinusU:
 BlockClass = Union[ConicExterior, SymmetricDifference, LinePairMinusU]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class WittModel:
+class WittModel(Record):
     plane: PlaneModel
     u: ProjPoint
     w: tuple[int, ...]
@@ -75,6 +70,11 @@ class WittModel:
     five_subset_block: dict[frozenset[int], int]
     local_blocks: tuple[tuple[int, ...], ...]
     local_blockset: frozenset[tuple[int, ...]]
+
+    # compared by identity: a model is an lru_cache key, and its dict
+    # fields are unhashable
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # the dict fields drown the useful part
         return f"WittModel(u={self.u}, blocks={len(self.blocks)})"
@@ -223,8 +223,7 @@ def block_through(m: WittModel, d: Iterable[int]) -> Block:
     return m.blocks[m.five_subset_block[frozenset(pts)]]
 
 
-@dataclass(frozen=True)
-class BlockSolution:
+class BlockSolution(Record):
     """Solver outcome: the block, its witness form, and the case certificate.
 
     case "A": every solution of the linear system has q(U) != 0; the

@@ -11,9 +11,9 @@ by re-emission reproduces the input exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
+from .checks import Record
 from .design import (
     Block,
     BlockClass,
@@ -36,15 +36,13 @@ class DesignFileError(ValueError):
     """Raised when a design document is structurally malformed."""
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(Record):
     kind: str
     form: tuple[int, ...] | None = None
     lines: tuple[str, str] | None = None
 
 
-@dataclass(frozen=True)
-class DesignDocument:
+class DesignDocument(Record):
     points: tuple[str, ...]
     u: int
     blocks: tuple[Block, ...]

@@ -9,8 +9,9 @@ rref, rank, det, null space, solve and inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .checks import Record
 
 MOD = 3
 
@@ -66,8 +67,7 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v)) % MOD
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Record):
     """Dense matrix over GF(3): a rectangular grid of reduced scalars."""
 
     rows: tuple[Vec, ...]

@@ -10,11 +10,10 @@ table, and file this package emits refers to that fixed numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, Sequence
 
-from .checks import InvariantError, require
+from .checks import InvariantError, Record, require
 from .gf3 import MOD, Mat, det, dot
 
 POINT_COUNT = 13
@@ -34,8 +33,7 @@ def normalize(v: Sequence[int]) -> tuple[int, int, int]:
     return w  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     index: int
     rep: tuple[int, int, int]
 
@@ -46,8 +44,7 @@ class ProjPoint:
         return f"#{self.index}({self.coord_str()})"
 
 
-@dataclass(frozen=True)
-class ProjLine:
+class ProjLine(Record):
     index: int
     dual: tuple[int, int, int]
     points: tuple[int, int, int, int]

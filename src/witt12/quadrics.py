@@ -10,20 +10,18 @@ the coefficients, with exactly one of four canonical shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .checks import InvariantError, require
+from .checks import InvariantError, Record, require
 from .gf3 import MOD
 from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
 
 COEFF_NAMES = ("a00", "a01", "a02", "a11", "a12", "a22")
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     coeffs: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
@@ -122,8 +120,7 @@ def classify(q: QuadraticForm, plane: PlaneModel = PLANE) -> QuadricType:
     return kind
 
 
-@dataclass(frozen=True)
-class ConicGeometry:
+class ConicGeometry(Record):
     """A conic's four points, its tangents, and the induced point split."""
 
     form: QuadraticForm
@@ -161,8 +158,7 @@ def conic_geometry(q: QuadraticForm, plane: PlaneModel = PLANE) -> ConicGeometry
     return ConicGeometry(q, conic_pts, tangents, external, internal)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     label: str
     form: QuadraticForm
     counts: tuple[int, int, int]

@@ -26,13 +26,12 @@ line image to be a line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 from typing import Iterable, Sequence
 
-from .checks import InvariantError, affine_residue, require
+from .checks import InvariantError, Record, affine_residue, require
 from .design import WittModel
 from .gf3 import MOD, Mat, det, mat_inv, mat_mul, solve, vec_add, vec_mat, vec_scale
 from .plane import PLANE, PlaneModel, ProjLine, ProjPoint, collinear
@@ -42,8 +41,7 @@ Perm = tuple[int, ...]
 Matrix3 = tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class Collineation:
+class Collineation(Record):
     """Invertible matrix mod scalars; first nonzero entry is 1."""
 
     matrix: Matrix3
@@ -328,8 +326,7 @@ def group_order(generators: Sequence[Perm]) -> int:
     return prod(len(t) for t in trans)
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(Record):
     order: int
     generators: tuple[Perm, ...]
     sharply_5_transitive: bool
@@ -482,8 +479,7 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
     return kappa, beta
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(Record):
     """Sweep result for one line through U.
 
     checks counts (alpha, X) pairs tested against the involution

@@ -21,8 +21,11 @@ from witt12.checks import (
     lambda_cascade,
     verify_t_design,
 )
-from witt12.design import as_incidence_structure
+from witt12.design import LinePairMinusU, SymmetricDifference, as_incidence_structure, construct
+from witt12.designfile import ClassRecord
+from witt12.gf3 import Mat
 from witt12.plane import PLANE
+from witt12.quadrics import QuadraticForm, canonical_table
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +148,99 @@ def test_triple_derivation_equals_affine_residue(model, witt, lines_through_u):
         r = affine_residue(PLANE, g)
         assert d.points == r.points
         assert d.blocks == r.blocks
+
+
+# Record, the frozen value base of every record type: the strings below
+# were printed by the dataclass-based records it replaced
+
+
+def test_record_repr_is_pinned(model):
+    assert repr(PLANE.points[4]) == "ProjPoint(index=4, rep=(1, 0, 0))"
+    assert repr(PLANE.lines[0]) == "ProjLine(index=0, dual=(0, 0, 1), points=(1, 4, 7, 10))"
+    assert repr(DesignViolation("coverage", (0, 1, 2, 3, 4), 2, 1)) == (
+        "DesignViolation(kind='coverage', witness=(0, 1, 2, 3, 4), count=2, expected=1)"
+    )
+    assert repr(ClassRecord("conic_exterior", form=(1, 0, 0, 0, 0, 1))) == (
+        "ClassRecord(kind='conic_exterior', form=(1, 0, 0, 0, 0, 1), lines=None)"
+    )
+    assert repr(canonical_table()[0]) == (
+        "TableRow(label='x0^2 + x1^2 + x2^2', form=QuadraticForm(coeffs=(1, 0, 0, 1, 0, 1)), "
+        "counts=(4, 3, 6))"
+    )
+    assert repr(IncidenceStructure([1, 2, 3], [[3, 1]])) == (
+        "IncidenceStructure(points=(1, 2, 3), blocks=((1, 3),))"
+    )
+    assert repr(model) == "WittModel(u=#4(1:0:0), blocks=132)"
+
+
+def test_record_hash_is_the_hash_of_its_field_tuple():
+    # set and dict orders, and so every pinned output, depend on this
+    p = PLANE.points[4]
+    q = QuadraticForm.of(1, 0, 0, 1, 0, 1)
+    m = Mat(((1, 2), (0, 1)))
+    assert hash(p) == hash((4, (1, 0, 0)))
+    assert hash(q) == hash(((1, 0, 0, 1, 0, 1),))
+    assert hash(m) == hash((((1, 2), (0, 1)),))
+    assert q == QuadraticForm((1, 0, 0, 1, 0, 1)) and q != QuadraticForm.of(2, 0, 0, 2, 0, 2)
+
+
+def test_record_is_frozen():
+    p = PLANE.points[4]
+    with pytest.raises(AttributeError):
+        p.index = 5
+    with pytest.raises(AttributeError):
+        p.extra = 5
+    with pytest.raises(AttributeError):
+        del p.rep
+    assert p == PLANE.points[4] and p.index == 4
+
+
+def test_records_of_different_types_are_unequal():
+    lines = (PLANE.lines[1], PLANE.lines[4])
+    assert SymmetricDifference(lines) != LinePairMinusU(lines)
+    assert DesignParams(5, 12, 6, 1) != (5, 12, 6, 1)
+    assert DesignParams(5, 12, 6, 1) == DesignParams(5, 12, 6, 1)
+
+
+def test_witt_model_compares_by_identity():
+    a, b = construct(PLANE.points[4]), construct(PLANE.points[4])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_record_keyword_construction():
+    assert ClassRecord(kind="k") == ClassRecord("k", None, None)
+    assert ClassRecord("k", lines=("0:0:1", "0:1:0")).form is None
+    assert DesignParams(v=12, t=5, lambda_=1, k=6) == DesignParams(5, 12, 6, 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DesignParams(5, 12, 6),
+        lambda: DesignParams(5, 12, 6, 1, 0),
+        lambda: DesignParams(5, 12, 6, 1, mu=0),
+        lambda: DesignParams(5, 12, 6, t=1),
+        lambda: ClassRecord(),
+        lambda: ClassRecord(form=(1, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_record_rejects_wrong_arguments(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Mat(()),
+        lambda: Mat(((),)),
+        lambda: Mat(((1, 2), (1,))),
+        lambda: Mat(((3,),)),
+        lambda: QuadraticForm((1, 0, 0)),
+        lambda: QuadraticForm((3, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_record_post_init_validation(make):
+    with pytest.raises(ValueError):
+        make()

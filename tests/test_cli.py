@@ -486,6 +486,41 @@ def test_out_into_a_missing_directory_as_a_process(tmp_path):
     assert "Traceback" not in p.stderr
 
 
+def _unwritable_stdout(kind):
+    """A write end that fails: /dev/full (ENOSPC) or a pipe with no reader (EPIPE)."""
+    if kind == "closed-pipe":
+        r, w = os.pipe()
+        os.close(r)
+        return w
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("kind,unbuffered", [("full", True), ("full", False), ("closed-pipe", False)])
+@pytest.mark.parametrize("argv", [["table", "--format", "structured"], ["construct"], ["aut"]])
+def test_failed_stdout_write_exits_2(argv, kind, unbuffered):
+    # unbuffered, the write itself fails; buffered, only the flush does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(witt12.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    fd = _unwritable_stdout(kind)
+    try:
+        p = subprocess.run(
+            [sys.executable, "-m", "witt12.cli", *argv],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(fd)
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("error: cannot write to stdout")
+    assert "Traceback" not in p.stderr and "Exception ignored" not in p.stderr
+
+
 # every subcommand, including aut and remark3, with numpy unimportable
 NO_NUMPY_COMMANDS = [
     ["construct", "--format", "structured"],
@@ -524,6 +559,27 @@ def test_commands_run_without_numpy(capsys, design_file):
     assert p.returncode == 0, p.stderr
     expected = [list(run(capsys, *argv)[:2]) for argv in commands]
     assert json.loads(p.stdout) == expected
+
+
+def _imported(*args):
+    """Modules a fresh interpreter imports, read off -X importtime."""
+    p = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(witt12.__file__))},
+    )
+    assert p.returncode == 0, p.stderr
+    return {ln.rsplit("|", 1)[1].strip() for ln in p.stderr.splitlines() if ln.startswith("import time:")}
+
+
+def test_commands_import_neither_dataclasses_nor_inspect():
+    # together about 10 ms of every cold command, and witt12 needs neither
+    startup = _imported("-c", "pass")
+    for args in (["-c", "import witt12"], ["-m", "witt12.cli", "table"]):
+        loaded = _imported(*args) - startup
+        assert "witt12.checks" in loaded
+        assert not loaded & {"dataclasses", "inspect"}, args
 
 
 def test_construct_and_verify_under_optimize(tmp_path):

@@ -262,16 +262,50 @@ def test_automorphism_group_never_closes(monkeypatch):
 # ------------------------------------------------------------- Schreier-Sims
 
 
+def closure_order(generators, ambient):
+    """Order of the group the generators make, by a breadth-first search
+    over (n, degree) arrays: group_closure vectorised.  ambient is the
+    lexicographically sorted row array of a group containing them, and
+    membership is a searchsorted into its integer keys."""
+    ambient = np.asarray(ambient, dtype=np.int64)
+    degree = ambient.shape[1]
+    weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+    keys = ambient @ weights
+    assert (np.diff(keys) > 0).all(), "ambient rows must be sorted and distinct"
+
+    def index(rows):
+        k = rows @ weights
+        i = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        assert (keys[i] == k).all(), "a product left the ambient group"
+        return i
+
+    gens = [np.array(g, dtype=np.int64) for g in generators]
+    seen = np.zeros(len(keys), dtype=bool)
+    frontier = index(np.arange(degree, dtype=np.int64)[None, :])
+    seen[frontier] = True
+    while len(frontier):
+        rows = ambient[frontier]
+        new = np.zeros_like(seen)
+        for g in gens:
+            new[index(g[rows])] = True  # g[rows]: each row, then g (compose_perm)
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return int(seen.sum())
+
+
 @pytest.mark.parametrize("u", (4, 9))
 def test_group_order_of_every_leader_pair(u):
-    chain = symmetry._chain(construct(PLANE.points[u]))
-    for pair in itertools.combinations(chain[0][1:], 2):
-        assert group_order(pair) == len(group_closure(pair))
+    m = construct(PLANE.points[u])
+    ambient = np.array(symmetry.all_automorphisms(m))
+    for pair in itertools.combinations(symmetry._chain(m)[0][1:], 2):
+        assert group_order(pair) == closure_order(pair, ambient)
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.lists(perms_of(n), min_size=1, max_size=3)))
 def test_group_order_of_random_subgroups(gens):
-    assert group_order(gens) == len(group_closure(gens))
+    ambient = np.array(list(itertools.permutations(range(len(gens[0])))))
+    assert group_order(gens) == len(group_closure(gens)) == closure_order(gens, ambient)
 
 
 def test_group_order_of_s12_and_a12():
@@ -283,7 +317,7 @@ def test_group_order_of_s12_and_a12():
     assert group_order(three_cycles) == math.factorial(12) // 2
 
 
-def test_group_order_adds_strong_generators_at_every_level():
+def test_group_order_adds_strong_generators_at_every_level(autos):
     # coset leaders 1 and 6 of point 0 at U = #4; a Schreier-Sims that
     # adds a new strong generator only at the level its sift stopped at
     # reads 1280 for this group
@@ -292,6 +326,7 @@ def test_group_order_adds_strong_generators_at_every_level():
         (6, 0, 1, 2, 3, 9, 8, 4, 7, 5, 10, 11),
     )
     assert len(group_closure(pair)) == 1440
+    assert closure_order(pair, autos) == 1440
     assert group_order(pair) == 1440
 
 
