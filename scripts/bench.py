@@ -6,7 +6,8 @@ workloads of BENCHMARK.json it runs the untraced benchmark (the
 end-to-end metrics), and once per workload the traced one (the per-layer
 metrics, first seed only), each for BENCHMARK.json's ``run_seconds``.
 It writes the medians and per-seed values with the git SHA, the Python
-version and ``nproc``.
+version, ``nproc`` and each tree's ``src_lines``, the line count of
+``src/witt12/*.py``.
 
     python3 scripts/bench.py --out BENCH_7.json [--seeds 10] [--parent DIR]
 
@@ -43,6 +44,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
         raise SystemExit(f"error: {' '.join(cmd)} exited {p.returncode}: {p.stderr.strip()}")
     *_, report, result = p.stdout.strip().splitlines()
     return {"report": json.loads(report), "result": json.loads(result)}
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the package sources, src/witt12/*.py, in the tree."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "witt12").glob("*.py"))
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -106,7 +112,7 @@ def main() -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "workloads": workloads,
-        "trees": {label: {"workloads": {}} for label in trees},
+        "trees": {label: {"src_lines": src_lines(tree), "workloads": {}} for label, tree in trees.items()},
     }
     for workload in workloads:
         runs: dict[str, list[dict]] = {label: [] for label in trees}

@@ -19,7 +19,6 @@ without consulting the constructed block list.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Union
 
 from .checks import IncidenceStructure, Record, require
@@ -67,7 +66,7 @@ class WittModel(Record):
     blocks: tuple[Block, ...]
     classes: tuple[BlockClass, ...]
     block_position: dict[Block, int]
-    five_subset_block: dict[frozenset[int], int]
+    sixth: dict[int, int]
     local_blocks: tuple[tuple[int, ...], ...]
     local_blockset: frozenset[tuple[int, ...]]
 
@@ -147,16 +146,17 @@ def construct(u: ProjPoint | None = None, plane: PlaneModel = PLANE) -> WittMode
     blocks = tuple(sorted(found))
     require(len(blocks) == 132, "the design does not have 132 blocks")
     classes = tuple(_classify_from_form(found[b], u, plane, b) for b in blocks)
-    five: dict[frozenset[int], int] = {}
-    for i, b in enumerate(blocks):
-        for sub in combinations(b, 5):
-            key = frozenset(sub)
-            require(key not in five, "a 5-set inside two blocks")
-            five[key] = i
-    require(len(five) == 792, "a 5-set of W is uncovered")  # C(12,5) = 792
     w = tuple(p.index for p in plane.points if p.index != u.index)
     w_position = {pt: i for i, pt in enumerate(w)}
     local_blocks = tuple(tuple(w_position[x] for x in b) for b in blocks)
+    # sixth[bitmask of five W positions] is the sixth point of their block
+    sixth: dict[int, int] = {}
+    for b in local_blocks:
+        for x in b:
+            key = sum(1 << y for y in b if y != x)
+            require(key not in sixth, "a 5-set inside two blocks")
+            sixth[key] = x
+    require(len(sixth) == 792, "a 5-set of W is uncovered")  # C(12,5) = 792
     return WittModel(
         plane=plane,
         u=u,
@@ -165,7 +165,7 @@ def construct(u: ProjPoint | None = None, plane: PlaneModel = PLANE) -> WittMode
         blocks=blocks,
         classes=classes,
         block_position={b: i for i, b in enumerate(blocks)},
-        five_subset_block=five,
+        sixth=sixth,
         local_blocks=local_blocks,
         local_blockset=frozenset(local_blocks),
     )
@@ -220,7 +220,8 @@ def _validated_five(
 def block_through(m: WittModel, d: Iterable[int]) -> Block:
     """The unique block containing five given points of W (by lookup)."""
     pts = _validated_five(d, m.u, m.plane)
-    return m.blocks[m.five_subset_block[frozenset(pts)]]
+    x = m.sixth[sum(1 << m.w_position[p] for p in pts)]
+    return tuple(sorted((*pts, m.w[x])))
 
 
 class BlockSolution(Record):

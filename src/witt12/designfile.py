@@ -131,7 +131,9 @@ def _is_point_index(x: Any) -> bool:
 def parse_structured(text: str) -> DesignDocument:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integer literals over the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise DesignFileError(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise DesignFileError("top level must be an object")

@@ -3,7 +3,11 @@
 Collineations are invertible 3x3 matrices over GF(3) modulo scalars
 (the field is prime, so there is nothing semilinear to add), acting on
 row vectors.  Canonical representative: first nonzero entry 1 in
-row-major order.
+row-major order.  One enumeration of all 5616 of them serves every
+use: the stabilizer of U, and the collineation kappa extending an
+affinity of a line's residue (Remark 3), which is the only one in the
+enumeration with the affinity's restriction; that uniqueness is checked
+on every run.
 
 Design automorphisms come from one forcing engine that completes the
 images of a 5-point frame.  Every later image is forced, because an
@@ -33,8 +37,8 @@ from typing import Iterable, Sequence
 
 from .checks import InvariantError, Record, affine_residue, require
 from .design import WittModel
-from .gf3 import MOD, Mat, det, mat_inv, mat_mul, solve, vec_add, vec_mat, vec_scale
-from .plane import PLANE, PlaneModel, ProjLine, ProjPoint, collinear
+from .gf3 import MOD, Mat, det, mat_inv, mat_mul, vec_add, vec_mat, vec_scale
+from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
 
 Perm = tuple[int, ...]
 
@@ -176,8 +180,7 @@ def complete_automorphisms(
     frame, w = tuple(frame), set(range(12))
     if len(frame) != 5 or len(set(frame) & w) != 5:
         raise ValueError("the frame must be five distinct points of W")
-    # sixth[bitmask of five points] is the sixth point of their block
-    sixth = {sum(1 << y for y in b if y != x): x for b in m.local_blocks for x in b}
+    sixth = m.sixth  # the sixth point of the block over a five-point bitmask
     rows = []
     for row in images:
         row = [int(y) for y in row]
@@ -401,35 +404,28 @@ def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
     return tuple(sorted(found))
 
 
-def _general_position_frame(plane: PlaneModel, idxs: Sequence[int]) -> tuple[int, ...]:
-    for quad in combinations(idxs, 4):
-        pts = [plane.points[i] for i in quad]
-        if not any(collinear(a, b, c) for a, b, c in combinations(pts, 3)):
-            return quad
-    raise InvariantError("no quadrilateral among the affine points")
+@lru_cache(maxsize=13)
+def _line_collineations(plane: PlaneModel, g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
+    """The collineations fixing g, keyed by their restriction to g's
+    affine residue (positions 0..8, as in affinities), with point maps.
 
-
-def _frame_matrix(plane: PlaneModel, frame: Sequence[int]) -> Mat:
-    # rows lambda_i * rep(s_i) map the standard frame onto s1..s4
-    v1, v2, v3, v4 = (plane.points[i].rep for i in frame)
-    cols = Mat.from_rows([v1, v2, v3]).transpose()
-    lam = solve(cols, v4)
-    require(lam is not None and all(lam), "the frame is not in general position")
-    return Mat.from_rows(
-        [[(l * x) % MOD for x in v] for l, v in zip(lam, (v1, v2, v3))]
-    )
-
-
-def collineation_from_frames(
-    src: Sequence[int], dst: Sequence[int], plane: PlaneModel = PLANE
-) -> Collineation:
-    """The unique collineation sending one 4-point frame to another."""
-    return _collineation_onto(mat_inv(_frame_matrix(plane, src)), dst, plane)
-
-
-def _collineation_onto(src_inv: Mat, dst: Sequence[int], plane: PlaneModel) -> Collineation:
-    """collineation_from_frames, given the inverse of the source frame's matrix."""
-    return Collineation.from_matrix(mat_mul(src_inv, _frame_matrix(plane, dst)).rows)
+    A collineation fixes g exactly when it sends two points of g onto g.
+    No two may share a restriction, so each affinity has at most one
+    extension to a collineation.
+    """
+    pts = affine_residue(plane, g).points
+    pos = {p: i for i, p in enumerate(pts)}
+    reps = {plane.points[i].rep for i in g.points}
+    a, b = (plane.points[i].rep for i in g.points[:2])
+    fixing = [
+        c for c in all_collineations(plane) if _image(c.matrix, a) in reps and _image(c.matrix, b) in reps
+    ]
+    table = {}
+    for c in fixing:
+        pm = c.point_map(plane)
+        table[tuple(pos[pm[p]] for p in pts)] = (c, pm)
+    require(len(table) == len(fixing), "two collineations restrict to one affinity")
+    return table
 
 
 def _extensions(
@@ -438,21 +434,16 @@ def _extensions(
     """For each affinity of g's residue: the collineation kappa extending
     it, kappa's point map, and the automorphism sending the first five
     affine points to their images, or None unless it agrees on all nine."""
-    plane = m.plane
-    pts = affine_residue(plane, g).points
-    frame = _general_position_frame(plane, pts)
+    pts = affine_residue(m.plane, g).points
     wpos = [m.w_position[p] for p in pts]
-    frame_inv = mat_inv(_frame_matrix(plane, frame))
+    table = _line_collineations(m.plane, g)
     chain = _chain(m)
     to_frame = invert_perm(_carrier(chain, wpos[:5]))
     out = []
     for alpha in alphas:
         w = tuple(wpos[a] for a in alpha)
-        dst = tuple(pts[alpha[pts.index(i)]] for i in frame)
-        kappa = _collineation_onto(frame_inv, dst, plane)
-        pm = kappa.point_map(plane)
-        if any(pm[p] != pts[a] for p, a in zip(pts, alpha)):
-            raise InvariantError("the collineation does not extend the affinity")
+        require(alpha in table, "no collineation extends the affinity")
+        kappa, pm = table[alpha]
         beta = compose_perm(to_frame, _carrier(chain, w[:5]))
         out.append((kappa, pm, beta if tuple(beta[x] for x in wpos) == w else None))
     return out

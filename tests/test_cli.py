@@ -628,6 +628,26 @@ def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+# raw files that json.loads rejects with something other than a
+# JSONDecodeError: nesting past the recursion limit, and an integer
+# literal past the interpreter's 4300-digit conversion limit
+UNLOADABLE = {
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+    "huge-integer": '{"u": ' + "1" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+@pytest.mark.parametrize("name", sorted(UNLOADABLE))
+def test_verify_rejects_unloadable_json_as_a_parse_error(capsys, tmp_path, name, fmt):
+    bad = tmp_path / "unloadable.json"
+    bad.write_text(UNLOADABLE[name])
+    code, out, err = run(capsys, "verify", str(bad), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("blocks", ["empty-block", "no-blocks"])
 def test_verify_reports_too_few_points_as_a_structure_violation(capsys, tmp_path, design_file, blocks):
     doc = json.loads(design_file.read_text())

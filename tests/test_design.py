@@ -69,8 +69,14 @@ def test_every_five_subset_covered_exactly_once(model):
     )
     assert len(cover) == 792
     assert set(cover.values()) == {1}
-    for sub, k in model.five_subset_block.items():
-        assert sub <= set(model.blocks[k])
+    # the sixth-point table: 792 five-sets of W positions, each with the
+    # sixth point of the one block over it
+    assert len(model.sixth) == 792
+    for mask, x in model.sixth.items():
+        sub = [model.w[i] for i in range(12) if mask >> i & 1]
+        assert len(sub) == 5 and mask < 1 << 12 and not mask >> x & 1
+        assert cover[tuple(sub)] == 1
+        assert tuple(sorted((*sub, model.w[x]))) in model.blocks
 
 
 def test_census(model):

@@ -6,7 +6,8 @@ candidates, and a full 9!-scan oracle for the affinity count of one
 line.  The group order and transitivity degree are pinned, and the
 Schreier-Sims order is checked against the closure of the generators.
 Each Remark 3 extension, read off the stabilizer chain, is checked
-against the full enumeration as the reference.
+against the full enumeration as the reference, and each line's table of
+collineations against the independent backtracking over affinities.
 """
 
 import hashlib
@@ -25,7 +26,6 @@ from witt12.symmetry import (
     Collineation,
     affinities,
     all_collineations,
-    collineation_from_frames,
     complete_automorphisms,
     compose_perm,
     elliptic_involution,
@@ -111,16 +111,6 @@ def test_point_map_against_apply_vec(collineations):
 def test_stabilizer_against_apply_point(collineations, u):
     p = PLANE.points[u]
     assert stabilizer_of(PLANE, p) == tuple(c for c in collineations if c.apply_point(p) == p)
-
-
-def test_collineation_from_frames():
-    src = (0, 1, 4, 8)  # the standard frame
-    dst = (8, 9, 11, 12)  # a conic, hence a quadrangle
-    for t in itertools.combinations((PLANE.points[i] for i in dst), 3):
-        assert not collinear(*t)
-    c = collineation_from_frames(src, dst)
-    pm = c.point_map()
-    assert tuple(pm[i] for i in src) == dst
 
 
 def test_stabilizer_of_u(model, u_stabilizer):
@@ -525,12 +515,43 @@ def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_
     assert all(f[1:] == (None, None, None) for f in report.failures)
 
 
-def test_collineation_disagreeing_with_the_affinity_raises(model, lines_through_u, monkeypatch):
-    # kappa must restrict to alpha on the nine affine points; the identity
-    # does so only for the identity affinity
-    monkeypatch.setattr(symmetry, "_collineation_onto", lambda *a: Collineation.identity())
+@pytest.mark.parametrize("g", range(13))
+def test_line_collineations_are_keyed_by_every_affinity(g):
+    line = PLANE.lines[g]
+    table = symmetry._line_collineations(PLANE, line)
+    assert len(table) == 432
+    assert set(table) == set(affinities(PLANE, line))
+    pts = [p.index for p in PLANE.points if p.index not in line.points]
+    for alpha, (kappa, pm) in table.items():
+        assert pm == kappa.point_map()
+        assert {pm[x] for x in line.points} == set(line.points)
+        assert tuple(pts.index(pm[x]) for x in pts) == alpha
+
+
+@pytest.fixture()
+def fresh_line_collineations():
+    symmetry._line_collineations.cache_clear()
+    yield
+    symmetry._line_collineations.cache_clear()
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_a_missing_or_repeated_collineation_raises(
+    model, lines_through_u, monkeypatch, fresh_line_collineations, change
+):
+    # with one non-identity collineation fixing g dropped, its affinity
+    # has no extension; with one repeated, kappa is no longer unique
+    g = lines_through_u[0]
+    full = all_collineations(PLANE)
+    c = next(
+        c for c in full
+        if c != Collineation.identity() and {c.point_map()[x] for x in g.points} == set(g.points)
+    )
+    i = full.index(c)
+    edited = full[:i] + full[i + 1:] if change == "drop" else full + (c,)
+    monkeypatch.setattr(symmetry, "all_collineations", lambda plane: edited)
     with pytest.raises(AssertionError):
-        verify_extension_formula(model, lines_through_u[0])
+        verify_extension_formula(model, g)
 
 
 def test_extension_formula_on_every_line(model, lines_through_u):
