@@ -55,9 +55,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--u", default="#4", help="removed point (default #4)")
     args = parser.parse_args(argv)
+    try:
+        u = PLANE.parse_point(args.u)
+    except ValueError as e:
+        parser.error(f"--u: {e}")
 
     t0 = time.time()
-    u = PLANE.parse_point(args.u)
     failures = 0
 
     def check(ok, label):
@@ -136,7 +139,7 @@ def main(argv=None):
     check(bad_int == 0, "internal points avoid all tangents")
 
     section("automorphism group")
-    stab = stabilizer_of(PLANE, model.u)
+    stab = stabilizer_of(model.u)
     check(len(stab) == 432, f"{len(stab)} collineations fix U")
     check(
         all(

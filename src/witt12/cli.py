@@ -38,7 +38,7 @@ def _parse(parse: Callable[[str], Any], spec: str) -> Any:
 
 def _parse_u(spec: str | None) -> ProjPoint:
     if spec is None:
-        return PLANE.points[design.DEFAULT_U_INDEX]
+        return design.DEFAULT_U
     return _parse(PLANE.parse_point, spec)
 
 
@@ -218,7 +218,7 @@ def cmd_aut(args: argparse.Namespace) -> Output:
     u = _parse_u(args.u)
     model = design.construct(u)
     summary = symmetry.automorphism_group(model)
-    stab = symmetry.stabilizer_of(PLANE, u)
+    stab = symmetry.stabilizer_of(u)
     induced = {symmetry.induced_permutation(model, c) for c in stab}
     payload = {
         "command": "aut",

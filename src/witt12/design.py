@@ -23,7 +23,7 @@ from typing import Iterable, Union
 
 from .checks import IncidenceStructure, Record, require
 from .gf3 import MOD, Mat, det, null_space
-from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
+from .plane import PLANE, ProjLine, ProjPoint
 from .quadrics import (
     QuadraticForm,
     conic_geometry,
@@ -33,6 +33,7 @@ from .quadrics import (
 )
 
 DEFAULT_U_INDEX = 4  # the point 1:0:0
+DEFAULT_U = PLANE.points[DEFAULT_U_INDEX]
 
 Block = tuple[int, ...]
 
@@ -59,7 +60,6 @@ BlockClass = Union[ConicExterior, SymmetricDifference, LinePairMinusU]
 
 
 class WittModel(Record):
-    plane: PlaneModel
     u: ProjPoint
     w: tuple[int, ...]
     w_position: dict[int, int]
@@ -79,18 +79,14 @@ class WittModel(Record):
         return f"WittModel(u={self.u}, blocks={len(self.blocks)})"
 
 
-def block_of_form(
-    q: QuadraticForm, u: ProjPoint | None = None, plane: PlaneModel = PLANE
-) -> Block | None:
+def block_of_form(q: QuadraticForm, u: ProjPoint = DEFAULT_U) -> Block | None:
     """Candidate point set of q, or None when it is too small to be a block."""
     if q.is_zero():
         raise ValueError("the zero form defines no block")
-    if u is None:
-        u = plane.points[DEFAULT_U_INDEX]
     target = (2 * evaluate(q, u)) % MOD
     members = tuple(
         p.index
-        for p in plane.points
+        for p in PLANE.points
         if p.index != u.index and evaluate(q, p) == target
     )
     if len(members) <= 3:
@@ -100,21 +96,19 @@ def block_of_form(
     return members
 
 
-def _classify_from_form(
-    q: QuadraticForm, u: ProjPoint, plane: PlaneModel, block: Block
-) -> BlockClass:
+def _classify_from_form(q: QuadraticForm, u: ProjPoint, block: Block) -> BlockClass:
     bset = set(block)
     if evaluate(q, u) == 0:
         # U lies on the zero set, which must be a pair of lines through U
-        zero = {p.index for p in level_set(q, 0, plane)}
-        pair = tuple(ln for ln in plane.lines if set(ln.points) <= zero)
+        zero = {p.index for p in level_set(q, 0)}
+        pair = tuple(ln for ln in PLANE.lines if set(ln.points) <= zero)
         require(len(pair) == 2, "the zero set through U is not a line pair")
         union = set(pair[0].points) | set(pair[1].points)
         require(union == bset | {u.index}, "the line pair is not the block plus U")
         return LinePairMinusU(pair)
-    zero = level_set(q, 0, plane)
+    zero = level_set(q, 0)
     if len(zero) == 4:
-        geo = conic_geometry(q, plane)
+        geo = conic_geometry(q)
         require(u in geo.internal, "U is not internal to the conic")
         require({p.index for p in geo.external} == bset, "block is not the exterior")
         return ConicExterior(q)
@@ -122,7 +116,7 @@ def _classify_from_form(
     center = next(iter(zero))
     pair = tuple(
         ln
-        for ln in plane.lines_through(center)
+        for ln in PLANE.lines_through(center)
         if len(bset.intersection(ln.points)) == 3
     )
     require(len(pair) == 2, "no line pair through the centre")
@@ -132,21 +126,19 @@ def _classify_from_form(
     return SymmetricDifference(pair)
 
 
-def construct(u: ProjPoint | None = None, plane: PlaneModel = PLANE) -> WittModel:
+def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     """Build the design for the given removed point (default 1:0:0)."""
-    if u is None:
-        u = plane.points[DEFAULT_U_INDEX]
     found: dict[Block, QuadraticForm] = {}
     for q in form_pair_representatives():
-        b = block_of_form(q, u, plane)
+        b = block_of_form(q, u)
         if b is not None:
             # each block has a unique witness form up to doubling
             require(b not in found, "a block with two witness forms")
             found[b] = q
     blocks = tuple(sorted(found))
     require(len(blocks) == 132, "the design does not have 132 blocks")
-    classes = tuple(_classify_from_form(found[b], u, plane, b) for b in blocks)
-    w = tuple(p.index for p in plane.points if p.index != u.index)
+    classes = tuple(_classify_from_form(found[b], u, b) for b in blocks)
+    w = tuple(p.index for p in PLANE.points if p.index != u.index)
     w_position = {pt: i for i, pt in enumerate(w)}
     local_blocks = tuple(tuple(w_position[x] for x in b) for b in blocks)
     # sixth[bitmask of five W positions] is the sixth point of their block
@@ -158,7 +150,6 @@ def construct(u: ProjPoint | None = None, plane: PlaneModel = PLANE) -> WittMode
             sixth[key] = x
     require(len(sixth) == 792, "a 5-set of W is uncovered")  # C(12,5) = 792
     return WittModel(
-        plane=plane,
         u=u,
         w=w,
         w_position=w_position,
@@ -179,10 +170,10 @@ def classify_block(m: WittModel, b: Iterable[int]) -> BlockClass:
     return m.classes[pos]
 
 
-def rederive_block(cls_: BlockClass, u: ProjPoint, plane: PlaneModel = PLANE) -> Block:
+def rederive_block(cls_: BlockClass, u: ProjPoint) -> Block:
     """Recompute a block from its class witness alone."""
     if isinstance(cls_, ConicExterior):
-        geo = conic_geometry(cls_.form, plane)
+        geo = conic_geometry(cls_.form)
         if u not in geo.internal:
             raise ValueError("witness conic does not have U as an internal point")
         return tuple(sorted(p.index for p in geo.external))
@@ -204,13 +195,11 @@ def rederive_block(cls_: BlockClass, u: ProjPoint, plane: PlaneModel = PLANE) ->
     raise TypeError(f"unknown block class {cls_!r}")
 
 
-def _validated_five(
-    d: Iterable[int], u: ProjPoint, plane: PlaneModel
-) -> tuple[int, ...]:
+def _validated_five(d: Iterable[int], u: ProjPoint) -> tuple[int, ...]:
     pts = tuple(sorted(d))
     if len(pts) != 5 or len(set(pts)) != 5:
         raise ValueError("expected five distinct points")
-    if any(not 0 <= x < len(plane.points) for x in pts):
+    if any(not 0 <= x < len(PLANE.points) for x in pts):
         raise ValueError("point index out of range")
     if u.index in pts:
         raise ValueError("the removed point U cannot lie in a block")
@@ -219,7 +208,7 @@ def _validated_five(
 
 def block_through(m: WittModel, d: Iterable[int]) -> Block:
     """The unique block containing five given points of W (by lookup)."""
-    pts = _validated_five(d, m.u, m.plane)
+    pts = _validated_five(d, m.u)
     x = m.sixth[sum(1 << m.w_position[p] for p in pts)]
     return tuple(sorted((*pts, m.w[x])))
 
@@ -248,9 +237,7 @@ def _quad_row(v: tuple[int, int, int]) -> tuple[int, ...]:
     )
 
 
-def solve_block_through(
-    d: Iterable[int], u: ProjPoint | None = None, plane: PlaneModel = PLANE
-) -> BlockSolution:
+def solve_block_through(d: Iterable[int], u: ProjPoint = DEFAULT_U) -> BlockSolution:
     """Find the block through five points by solving for the form directly.
 
     Each point contributes one condition q(d_k) - 2 q(U) = 0, linear in
@@ -260,12 +247,10 @@ def solve_block_through(
     line pair through U (case B); otherwise the 5x6 system has a unique
     projective solution with q(U) != 0 (case A).
     """
-    if u is None:
-        u = plane.points[DEFAULT_U_INDEX]
-    pts = _validated_five(d, u, plane)
+    pts = _validated_five(d, u)
     urow = _quad_row(u.rep)
     rows = [
-        tuple((a + b) % MOD for a, b in zip(_quad_row(plane.points[i].rep), urow))
+        tuple((a + b) % MOD for a, b in zip(_quad_row(PLANE.points[i].rep), urow))
         for i in pts
     ]
     system = Mat.from_rows(rows)
@@ -289,7 +274,7 @@ def solve_block_through(
         form = QuadraticForm(kernel[0])
         require(evaluate(form, u) != 0 and determinant != 0, "case A certificate fails")
         case = "A"
-    block = block_of_form(form, u, plane)
+    block = block_of_form(form, u)
     require(block is not None and set(pts) <= set(block), "block misses a point")
     return BlockSolution(case, block, form, dimension, determinant)
 

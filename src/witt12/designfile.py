@@ -22,7 +22,7 @@ from .design import (
     SymmetricDifference,
     WittModel,
 )
-from .plane import PLANE, PlaneModel
+from .plane import PLANE
 from .quadrics import QuadraticForm
 
 FORMAT_NAME = "witt12-design-v1"
@@ -67,14 +67,14 @@ def class_record(cls_: BlockClass) -> ClassRecord:
 
 def document_from_model(m: WittModel) -> DesignDocument:
     return DesignDocument(
-        points=tuple(p.coord_str() for p in m.plane.points),
+        points=tuple(p.coord_str() for p in PLANE.points),
         u=m.u.index,
         blocks=m.blocks,
         classes=tuple(class_record(c) for c in m.classes),
     )
 
 
-def class_from_record(rec: ClassRecord, plane: PlaneModel = PLANE) -> BlockClass:
+def class_from_record(rec: ClassRecord) -> BlockClass:
     if rec.kind == KIND_CONIC:
         if rec.form is None:
             raise DesignFileError("conic record without a form")
@@ -82,7 +82,7 @@ def class_from_record(rec: ClassRecord, plane: PlaneModel = PLANE) -> BlockClass
     if rec.kind in (KIND_SYMDIFF, KIND_LINEPAIR):
         if rec.lines is None:
             raise DesignFileError(f"{rec.kind} record without lines")
-        lines = tuple(plane.parse_line(s) for s in rec.lines)
+        lines = tuple(PLANE.parse_line(s) for s in rec.lines)
         if rec.kind == KIND_SYMDIFF:
             return SymmetricDifference(lines)  # type: ignore[arg-type]
         return LinePairMinusU(lines)  # type: ignore[arg-type]
@@ -188,9 +188,9 @@ def parse_structured(text: str) -> DesignDocument:
     )
 
 
-def check_document_frame(doc: DesignDocument, plane: PlaneModel = PLANE) -> None:
+def check_document_frame(doc: DesignDocument) -> None:
     """Validate that the document's frame matches the canonical plane."""
-    expected = tuple(p.coord_str() for p in plane.points)
+    expected = tuple(p.coord_str() for p in PLANE.points)
     if doc.points != expected:
         raise DesignFileError("point coordinates do not match the canonical plane")
 

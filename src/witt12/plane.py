@@ -10,6 +10,7 @@ table, and file this package emits refers to that fixed numbering.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, Sequence
 
@@ -18,6 +19,11 @@ from .gf3 import MOD, Mat, det, dot
 
 POINT_COUNT = 13
 LINE_SIZE = 4
+
+# ASCII digits only: int() alone would also read '1_0', '+4', '٢' and '１';
+# it still refuses over 4300 digits, which the parser reports as a bad spec
+_INDEX_SPEC = re.compile(r"#[0-9]+")
+_COORD_SPEC = re.compile(r"\s*-?[0-9]+\s*")
 
 
 def normalize(v: Sequence[int]) -> tuple[int, int, int]:
@@ -124,6 +130,8 @@ class PlaneModel:
     def _parse(self, spec: str, kind: str, by_index: Sequence, from_vec: Callable) -> Any:
         s = spec.strip()
         if s.startswith("#"):
+            if not _INDEX_SPEC.fullmatch(s):
+                raise ValueError(f"bad {kind} spec {spec!r}")
             try:
                 k = int(s[1:])
             except ValueError:
@@ -132,7 +140,7 @@ class PlaneModel:
                 raise ValueError(f"{kind} index out of range in {spec!r}")
             return by_index[k]
         parts = s.split(":")
-        if len(parts) != 3:
+        if len(parts) != 3 or not all(_COORD_SPEC.fullmatch(x) for x in parts):
             raise ValueError(f"bad {kind} spec {spec!r}")
         try:
             v = [int(x) for x in parts]

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .checks import InvariantError, Record, require
 from .gf3 import MOD
-from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
+from .plane import PLANE, ProjLine, ProjPoint
 
 COEFF_NAMES = ("a00", "a01", "a02", "a11", "a12", "a22")
 
@@ -62,19 +62,19 @@ def evaluate(q: QuadraticForm, p: ProjPoint) -> int:
     return evaluate_vec(q, p.rep)
 
 
-def level_set(q: QuadraticForm, t: int, plane: PlaneModel = PLANE) -> frozenset[ProjPoint]:
+def level_set(q: QuadraticForm, t: int) -> frozenset[ProjPoint]:
     """All points where q takes the value t; the zero form is rejected."""
     if q.is_zero():
         raise ValueError("the zero form has no meaningful level sets")
     t = t % MOD
-    return frozenset(p for p in plane.points if evaluate(q, p) == t)
+    return frozenset(p for p in PLANE.points if evaluate(q, p) == t)
 
 
-def signature(q: QuadraticForm, plane: PlaneModel = PLANE) -> tuple[int, int, int]:
+def signature(q: QuadraticForm) -> tuple[int, int, int]:
     counts = [0, 0, 0]
     if q.is_zero():
         raise ValueError("the zero form has no meaningful level sets")
-    for p in plane.points:
+    for p in PLANE.points:
         counts[evaluate(q, p)] += 1
     return counts[0], counts[1], counts[2]
 
@@ -112,8 +112,8 @@ _SIGNATURES = {
 }
 
 
-def classify(q: QuadraticForm, plane: PlaneModel = PLANE) -> QuadricType:
-    sig = signature(q, plane)
+def classify(q: QuadraticForm) -> QuadricType:
+    sig = signature(q)
     kind = _SIGNATURES.get(sig)
     if kind is None:
         raise InvariantError(f"unexpected level-set signature {sig}")
@@ -130,30 +130,30 @@ class ConicGeometry(Record):
     internal: tuple[ProjPoint, ...]
 
 
-def conic_geometry(q: QuadraticForm, plane: PlaneModel = PLANE) -> ConicGeometry:
+def conic_geometry(q: QuadraticForm) -> ConicGeometry:
     """Tangent-based split of the off-conic points, cross-checked against levels.
 
     A tangent meets the conic in exactly one point.  Off-conic points on
     at least one tangent are external (six of them), the rest internal
     (three); the two classes coincide with the nonzero level sets.
     """
-    if classify(q, plane) is not QuadricType.CONIC:
+    if classify(q) is not QuadricType.CONIC:
         raise ValueError("conic geometry needs a nondegenerate conic form")
-    conic_pts = tuple(sorted(level_set(q, 0, plane), key=lambda p: p.index))
+    conic_pts = tuple(sorted(level_set(q, 0), key=lambda p: p.index))
     conic_idx = {p.index for p in conic_pts}
     tangents = tuple(
-        ln for ln in plane.lines if len(conic_idx.intersection(ln.points)) == 1
+        ln for ln in PLANE.lines if len(conic_idx.intersection(ln.points)) == 1
     )
     on_tangent = {i for ln in tangents for i in ln.points}
     external = tuple(
-        p for p in plane.points if p.index not in conic_idx and p.index in on_tangent
+        p for p in PLANE.points if p.index not in conic_idx and p.index in on_tangent
     )
     internal = tuple(
-        p for p in plane.points if p.index not in conic_idx and p.index not in on_tangent
+        p for p in PLANE.points if p.index not in conic_idx and p.index not in on_tangent
     )
     require(len(conic_pts) == 4 and len(tangents) == 4, "a conic needs four tangents")
     require(len(external) == 6 and len(internal) == 3, "wrong external/internal split")
-    levels = {level_set(q, 1, plane), level_set(q, 2, plane)}
+    levels = {level_set(q, 1), level_set(q, 2)}
     require({frozenset(external), frozenset(internal)} == levels, "levels disagree")
     return ConicGeometry(q, conic_pts, tangents, external, internal)
 
@@ -164,10 +164,10 @@ class TableRow(Record):
     counts: tuple[int, int, int]
 
 
-def canonical_table(plane: PlaneModel = PLANE) -> tuple[TableRow, ...]:
+def canonical_table() -> tuple[TableRow, ...]:
     """Level-set counts for the four canonical forms, computed fresh."""
     return tuple(
-        TableRow(t.canonical_label, t.canonical_shape, signature(t.canonical_shape, plane))
+        TableRow(t.canonical_label, t.canonical_shape, signature(t.canonical_shape))
         for t in QuadricType
     )
 

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 from .checks import InvariantError, Record, affine_residue, require
 from .design import WittModel
 from .gf3 import MOD, Mat, det, mat_inv, mat_mul, vec_add, vec_mat, vec_scale
-from .plane import PLANE, PlaneModel, ProjLine, ProjPoint
+from .plane import PLANE, ProjLine, ProjPoint
 
 Perm = tuple[int, ...]
 
@@ -70,13 +70,13 @@ class Collineation(Record):
     def apply_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         return vec_mat(v, Mat(self.matrix))
 
-    def apply_point(self, p: ProjPoint, plane: PlaneModel = PLANE) -> ProjPoint:
-        return plane.point_from_vec(self.apply_vec(p.rep))
+    def apply_point(self, p: ProjPoint) -> ProjPoint:
+        return PLANE.point_from_vec(self.apply_vec(p.rep))
 
-    def point_map(self, plane: PlaneModel = PLANE) -> tuple[int, ...]:
+    def point_map(self) -> tuple[int, ...]:
         """Images of all 13 points, by index."""
-        index = plane._point_index
-        return tuple(index[_image(self.matrix, p.rep)] for p in plane.points)
+        index = PLANE._point_index
+        return tuple(index[_image(self.matrix, p.rep)] for p in PLANE.points)
 
     def compose(self, other: "Collineation") -> "Collineation":
         """Apply self first, then other (row-vector action composes left to right)."""
@@ -96,12 +96,12 @@ def _image(m: Matrix3, v: Sequence[int]) -> tuple[int, int, int]:
     return r
 
 
-@lru_cache(maxsize=2)
-def all_collineations(plane: PlaneModel = PLANE) -> tuple[Collineation, ...]:
+@lru_cache(maxsize=1)
+def all_collineations() -> tuple[Collineation, ...]:
     """All 5616 collineations in row-major order of canonical matrices: a
     canonical first row, then each row off the span of the rows above it."""
     vecs = list(product(range(MOD), repeat=3))
-    firsts = sorted((p.rep for p in plane.points), key=lambda v: (v.index(1), v))
+    firsts = sorted((p.rep for p in PLANE.points), key=lambda v: (v.index(1), v))
     out = []
     for r1 in firsts:
         span1 = {vec_scale(c, r1) for c in range(MOD)}
@@ -111,15 +111,15 @@ def all_collineations(plane: PlaneModel = PLANE) -> tuple[Collineation, ...]:
     return tuple(out)
 
 
-def stabilizer_of(plane: PlaneModel, p: ProjPoint) -> tuple[Collineation, ...]:
+def stabilizer_of(p: ProjPoint) -> tuple[Collineation, ...]:
     """All collineations fixing the given point."""
     rep = p.rep
-    return tuple(c for c in all_collineations(plane) if _image(c.matrix, rep) == rep)
+    return tuple(c for c in all_collineations() if _image(c.matrix, rep) == rep)
 
 
 def induced_permutation(m: WittModel, c: Collineation) -> Perm:
     """Restriction of a U-fixing collineation to W, in local coordinates."""
-    pm = c.point_map(m.plane)
+    pm = c.point_map()
     if pm[m.u.index] != m.u.index:
         raise ValueError("collineation does not fix U")
     return tuple(m.w_position[pm[i]] for i in m.w)
@@ -360,14 +360,14 @@ def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, in
     return {x.index: u.index, u.index: x.index, y: z, z: y}
 
 
-def _residue_lines(plane: PlaneModel, g: ProjLine) -> tuple[tuple[int, ...], list]:
+def _residue_lines(g: ProjLine) -> tuple[tuple[int, ...], list]:
     """The off-line points of g and its 12 cut lines in local positions 0..8."""
-    residue = affine_residue(plane, g)
+    residue = affine_residue(PLANE, g)
     pos = {p: i for i, p in enumerate(residue.points)}
     return residue.points, [tuple(pos[x] for x in ln) for ln in residue.blocks]
 
 
-def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
+def affinities(g: ProjLine) -> tuple[Perm, ...]:
     """All permutations of the 9 off-line points preserving the 12 cut lines.
 
     Exhaustive backtracking over images in point order; whenever the
@@ -375,7 +375,7 @@ def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
     a cut line.  The check is a necessary condition, so no
     line-preserving permutation is ever pruned.
     """
-    pts, lines = _residue_lines(plane, g)
+    pts, lines = _residue_lines(g)
     lineset = {frozenset(ln) for ln in lines}
     complete_at: list[list[tuple[int, ...]]] = [[] for _ in range(9)]
     for ln in lines:
@@ -405,7 +405,7 @@ def affinities(plane: PlaneModel, g: ProjLine) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=13)
-def _line_collineations(plane: PlaneModel, g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
+def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
     """The collineations fixing g, keyed by their restriction to g's
     affine residue (positions 0..8, as in affinities), with point maps.
 
@@ -413,16 +413,16 @@ def _line_collineations(plane: PlaneModel, g: ProjLine) -> dict[Perm, tuple[Coll
     No two may share a restriction, so each affinity has at most one
     extension to a collineation.
     """
-    pts = affine_residue(plane, g).points
+    pts = affine_residue(PLANE, g).points
     pos = {p: i for i, p in enumerate(pts)}
-    reps = {plane.points[i].rep for i in g.points}
-    a, b = (plane.points[i].rep for i in g.points[:2])
+    reps = {PLANE.points[i].rep for i in g.points}
+    a, b = (PLANE.points[i].rep for i in g.points[:2])
     fixing = [
-        c for c in all_collineations(plane) if _image(c.matrix, a) in reps and _image(c.matrix, b) in reps
+        c for c in all_collineations() if _image(c.matrix, a) in reps and _image(c.matrix, b) in reps
     ]
     table = {}
     for c in fixing:
-        pm = c.point_map(plane)
+        pm = c.point_map()
         table[tuple(pos[pm[p]] for p in pts)] = (c, pm)
     require(len(table) == len(fixing), "two collineations restrict to one affinity")
     return table
@@ -434,9 +434,9 @@ def _extensions(
     """For each affinity of g's residue: the collineation kappa extending
     it, kappa's point map, and the automorphism sending the first five
     affine points to their images, or None unless it agrees on all nine."""
-    pts = affine_residue(m.plane, g).points
+    pts = affine_residue(PLANE, g).points
     wpos = [m.w_position[p] for p in pts]
-    table = _line_collineations(m.plane, g)
+    table = _line_collineations(g)
     chain = _chain(m)
     to_frame = invert_perm(_carrier(chain, wpos[:5]))
     out = []
@@ -460,7 +460,7 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
         raise ValueError("the line must pass through U")
     if sorted(alpha) != list(range(9)):
         raise ValueError("alpha must be a permutation of 0..8")
-    _, lines = _residue_lines(m.plane, g)
+    _, lines = _residue_lines(g)
     lineset = {frozenset(ln) for ln in lines}
     if any(frozenset(alpha[x] for x in ln) not in lineset for ln in lines):
         raise ValueError("alpha does not preserve the cut lines")
@@ -490,12 +490,12 @@ def verify_extension_formula(m: WittModel, g: ProjLine) -> ExtensionReport:
     """For every affinity of the residue of g, check X^beta against the
     conjugated involution U^(kappa^-1 gamma_X kappa) for the three
     points X of g other than U."""
-    plane, u = m.plane, m.u.index
+    u = m.u.index
     if u not in g.points:
         raise ValueError("the line must pass through U")
-    alphas = affinities(plane, g)
+    alphas = affinities(g)
     others = sorted(set(g.points) - {u})
-    gammas = [elliptic_involution(g, plane.points[x], m.u) for x in others]
+    gammas = [elliptic_involution(g, PLANE.points[x], m.u) for x in others]
     failures: list[tuple] = []
     divergences = 0
     example = None

@@ -36,12 +36,12 @@ def summary(model):
 
 @pytest.fixture(scope="session")
 def collineations():
-    return all_collineations(PLANE)
+    return all_collineations()
 
 
 @pytest.fixture(scope="session")
 def u_stabilizer(model):
-    return stabilizer_of(PLANE, model.u)
+    return stabilizer_of(model.u)
 
 
 @pytest.fixture(scope="session")

@@ -195,3 +195,19 @@ def test_11_report_script():
     assert p.returncode == 0, p.stdout + p.stderr
     assert "\n  0 failures," in p.stdout
     print("\nPASS 11: scripts/run_all_checks.py exits 0 with 0 failures")
+
+
+def test_11_report_script_rejects_a_bad_u():
+    # a bad spec is a usage error (exit 2), not a failed check (exit 1)
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_checks.py"
+    p = subprocess.run(
+        [sys.executable, str(script), "--u", "#13"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert p.returncode == 2, p.stdout + p.stderr
+    assert "usage:" in p.stderr and "--u: point index out of range" in p.stderr
+    assert "Traceback" not in p.stderr and p.stdout == ""

@@ -197,6 +197,14 @@ def test_block_rejects_bad_coordinates(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["#1_0", "#\u0662", "+1:2:0"])
+def test_block_rejects_integer_syntax_beyond_ascii_digits(capsys, spec):
+    # int() reads '#1_0' as point 10 and '#\u0662' (Arabic-Indic two) as point 2
+    code, out, err = run(capsys, "block", spec, "#2", "#3", "#5", "#6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad point spec") and "Traceback" not in err
+
+
 def test_block_with_alternate_u(capsys):
     code, out, _ = run(capsys, "block", "--u", "#0", "#2", "#3", "#5", "#6", "#7")
     assert code == 0

@@ -221,7 +221,7 @@ def test_alternate_removed_point_gives_isomorphic_design(model):
     assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
     assert other.blocks != model.blocks
     carrier = next(
-        c for c in all_collineations(PLANE) if c.apply_point(model.u).index == 0
+        c for c in all_collineations() if c.apply_point(model.u).index == 0
     )
     pm = carrier.point_map()
     mapped = {tuple(sorted(pm[x] for x in b)) for b in model.blocks}

@@ -6,12 +6,16 @@ regression in the plane builder cannot silently reorder the indices the
 rest of the package depends on.
 """
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
 
-from witt12 import gf3
+import witt12
+from witt12 import design, gf3
 from witt12.plane import PLANE, collinear, collinear_triple_in, normalize
 
 EXPECTED_POINT_ORDER = (
@@ -46,6 +50,31 @@ def test_point_order_matches_independent_enumeration():
     assert tuple(seen) == EXPECTED_POINT_ORDER
     assert tuple(p.rep for p in PLANE.points) == EXPECTED_POINT_ORDER
     assert tuple(l.dual for l in PLANE.lines) == EXPECTED_POINT_ORDER
+
+
+def test_every_function_reads_the_one_plane():
+    # only the generic checks layer takes its structure as an argument
+    takes_plane = set()
+    for info in pkgutil.iter_modules(witt12.__path__):
+        module = importlib.import_module(f"witt12.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            routines = [(name, obj)] if inspect.isroutine(obj) else []
+            if inspect.isclass(obj):
+                routines += [
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr in vars(obj)
+                    if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))
+                ]
+            takes_plane |= {
+                f"{module.__name__}.{qual}"
+                for qual, fn in routines
+                if "plane" in inspect.signature(fn).parameters
+            }
+    assert takes_plane == {"witt12.checks.affine_residue"}
+    assert "plane" not in design.WittModel._fields
+    assert design.construct().u is design.DEFAULT_U
 
 
 def test_counts():
@@ -98,11 +127,19 @@ def test_line_through_rejects_equal_points():
         PLANE.line_through(PLANE.points[3], PLANE.points[3])
 
 
+# specs int() would read: underscores, signs, inner spaces, other scripts' digits
+NON_ASCII_INTEGERS = (
+    "#1_0", "#\u0662", "#+4", "# 4", "1_0:0:0", "+1:0:0", "\uff11:0:0", "1:0:\u0662",
+)
+
+
 def test_parse_point():
     assert PLANE.parse_point("#3").rep == (0, 1, 2)
     assert PLANE.parse_point("0:1:2").index == 3
     assert PLANE.parse_point("0:2:1").index == 3  # scalar multiple
-    for bad in ("#13", "#-1", "0:0:0", "abc", "1:2", "1:2:3:4", "1:x:2"):
+    assert PLANE.parse_point("-1:0:0").index == 4
+    assert PLANE.parse_point(" 1 : 0 : 0 ").index == 4
+    for bad in ("#13", "#-1", "0:0:0", "abc", "1:2", "1:2:3:4", "1:x:2", *NON_ASCII_INTEGERS):
         with pytest.raises(ValueError):
             PLANE.parse_point(bad)
 
@@ -115,7 +152,7 @@ def test_parse_line():
     )
     assert PLANE.parse_line("#3").dual == (0, 1, 2)
     assert PLANE.parse_line("0:2:1").index == 3  # scalar multiple
-    for bad in ("#13", "#-1", "0:0:0", "abc", "1:2", "1:2:3:4", "1:x:2"):
+    for bad in ("#13", "#-1", "0:0:0", "abc", "1:2", "1:2:3:4", "1:x:2", *NON_ASCII_INTEGERS):
         with pytest.raises(ValueError):
             PLANE.parse_line(bad)
 

@@ -110,7 +110,7 @@ def test_point_map_against_apply_vec(collineations):
 @pytest.mark.parametrize("u", range(13))
 def test_stabilizer_against_apply_point(collineations, u):
     p = PLANE.points[u]
-    assert stabilizer_of(PLANE, p) == tuple(c for c in collineations if c.apply_point(p) == p)
+    assert stabilizer_of(p) == tuple(c for c in collineations if c.apply_point(p) == p)
 
 
 def test_stabilizer_of_u(model, u_stabilizer):
@@ -362,7 +362,7 @@ def test_non_automorphism_is_rejected(model):
 
 def test_affinity_count_for_every_line():
     for g in PLANE.lines:
-        assert len(affinities(PLANE, g)) == 432
+        assert len(affinities(g)) == 432
 
 
 def affine_lines_of(g):
@@ -389,12 +389,12 @@ def test_affinities_against_full_permutation_scan():
     ok = np.isin(codes, line_codes).all(axis=1)
     assert int(ok.sum()) == 432
     found = {tuple(int(x) for x in p) for p in perms[ok]}
-    assert found == set(affinities(PLANE, g))
+    assert found == set(affinities(g))
 
 
 def test_affinities_form_a_group(lines_through_u):
     g = lines_through_u[1]
-    af = set(affinities(PLANE, g))
+    af = set(affinities(g))
     assert identity_perm(9) in af
     some = sorted(af)[100:104]
     for a, b in itertools.product(some, repeat=2):
@@ -428,7 +428,7 @@ def test_extend_identity_affinity(model, lines_through_u):
 
 def test_extend_affinity_rejects_non_affinities(model, lines_through_u):
     g = lines_through_u[0]
-    af = set(affinities(PLANE, g))
+    af = set(affinities(g))
     bad = next(
         p for p in itertools.permutations(range(9)) if tuple(p) not in af
     )
@@ -443,7 +443,7 @@ def test_extend_affinity_against_the_whole_group(model, lines_through_u, autos):
     for g in lines_through_u:
         wpos = [model.w_position[p.index] for p in PLANE.points if p.index not in g.points]
         codes = np.asarray(autos[:, wpos], dtype=np.int64) @ weights
-        for alpha in affinities(PLANE, g):
+        for alpha in affinities(g):
             _, beta = extend_affinity(model, g, alpha)
             code = np.array([wpos[a] for a in alpha], dtype=np.int64) @ weights
             (match,) = np.nonzero(codes == code)
@@ -455,7 +455,7 @@ def test_extend_affinity_at_another_u():
     m0 = construct(PLANE.points[0])
     g = next(g for g in PLANE.lines if 0 in g.points and 4 not in g.points)
     pts = [p.index for p in PLANE.points if p.index not in g.points]
-    for alpha in affinities(PLANE, g)[::37]:
+    for alpha in affinities(g)[::37]:
         kappa, beta = extend_affinity(m0, g, alpha)
         assert is_design_automorphism(m0, beta)
         pm = kappa.point_map()
@@ -518,9 +518,9 @@ def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_
 @pytest.mark.parametrize("g", range(13))
 def test_line_collineations_are_keyed_by_every_affinity(g):
     line = PLANE.lines[g]
-    table = symmetry._line_collineations(PLANE, line)
+    table = symmetry._line_collineations(line)
     assert len(table) == 432
-    assert set(table) == set(affinities(PLANE, line))
+    assert set(table) == set(affinities(line))
     pts = [p.index for p in PLANE.points if p.index not in line.points]
     for alpha, (kappa, pm) in table.items():
         assert pm == kappa.point_map()
@@ -542,14 +542,14 @@ def test_a_missing_or_repeated_collineation_raises(
     # with one non-identity collineation fixing g dropped, its affinity
     # has no extension; with one repeated, kappa is no longer unique
     g = lines_through_u[0]
-    full = all_collineations(PLANE)
+    full = all_collineations()
     c = next(
         c for c in full
         if c != Collineation.identity() and {c.point_map()[x] for x in g.points} == set(g.points)
     )
     i = full.index(c)
     edited = full[:i] + full[i + 1:] if change == "drop" else full + (c,)
-    monkeypatch.setattr(symmetry, "all_collineations", lambda plane: edited)
+    monkeypatch.setattr(symmetry, "all_collineations", lambda: edited)
     with pytest.raises(AssertionError):
         verify_extension_formula(model, g)
 
