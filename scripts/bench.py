@@ -16,7 +16,8 @@ commit) every run of this tree is paired with a run of DIR on the same
 seed and workload, the parent first on odd seeds and second on even
 ones, and the file also records, per end-to-end metric, the ratio of
 the medians, how many pairs this tree won and the parent's
-interquartile range.
+interquartile range; the per-command medians (``aut_p50_s`` and the
+like) are compared the same way, lower being better.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# per-command latency medians perfbench reports beside the end-to-end metrics
+COMMAND_P50S = ("aut_p50_s", "remark3_p50_s", "construct_p50_s", "verify_p50_s", "reject_p50_s", "solve_cmd_p50_s")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -72,7 +75,13 @@ def summarise(runs: list[dict]) -> dict:
 
 
 def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
-    """Per metric: pairs this tree won, the ratio of medians, the parent's IQR."""
+    """Per metric: pairs this tree won, the ratio of medians, the parent's IQR.
+
+    The per-command medians that both trees report join the given
+    metrics, lower being better, so the file shows which command moved.
+    """
+    both = parent["per_seed"].keys() & change["per_seed"].keys()
+    better = {**better, **{k: "lower" for k in COMMAND_P50S if k in both}}
     out = {}
     for k, direction in better.items():
         pv, cv = parent["per_seed"][k], change["per_seed"][k]

@@ -68,7 +68,7 @@ class WittModel(Record):
     block_position: dict[Block, int]
     sixth: dict[int, int]
     local_blocks: tuple[tuple[int, ...], ...]
-    local_blockset: frozenset[tuple[int, ...]]
+    block_masks: frozenset[int]  # each local block as a bitmask of W positions
 
     # compared by identity: a model is an lru_cache key, and its dict
     # fields are unhashable
@@ -141,11 +141,12 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     w = tuple(p.index for p in PLANE.points if p.index != u.index)
     w_position = {pt: i for i, pt in enumerate(w)}
     local_blocks = tuple(tuple(w_position[x] for x in b) for b in blocks)
+    masks = [sum(1 << x for x in b) for b in local_blocks]
     # sixth[bitmask of five W positions] is the sixth point of their block
     sixth: dict[int, int] = {}
-    for b in local_blocks:
+    for b, mask in zip(local_blocks, masks):
         for x in b:
-            key = sum(1 << y for y in b if y != x)
+            key = mask ^ (1 << x)
             require(key not in sixth, "a 5-set inside two blocks")
             sixth[key] = x
     require(len(sixth) == 792, "a 5-set of W is uncovered")  # C(12,5) = 792
@@ -158,7 +159,7 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
         block_position={b: i for i, b in enumerate(blocks)},
         sixth=sixth,
         local_blocks=local_blocks,
-        local_blockset=frozenset(local_blocks),
+        block_masks=frozenset(masks),
     )
 
 

@@ -3,8 +3,8 @@
 Collineations are invertible 3x3 matrices over GF(3) modulo scalars
 (the field is prime, so there is nothing semilinear to add), acting on
 row vectors.  Canonical representative: first nonzero entry 1 in
-row-major order.  One enumeration of all 5616 of them serves every
-use: the stabilizer of U, and the collineation kappa extending an
+row-major order.  One enumeration of all 5616 canonical matrices serves
+every use: the stabilizer of U, and the collineation kappa extending an
 affinity of a line's residue (Remark 3), which is the only one in the
 enumeration with the affinity's restriction; that uniqueness is checked
 on every run.
@@ -15,29 +15,31 @@ automorphism must send the unique block over five assigned points to
 the unique block over their images, pinning the sixth point.  Where the
 forcing chain stalls (the assigned points fill out a single block) the
 engine branches over all unused images.  Survivors are finally checked
-against all 132 blocks, so the forcing only ever discards candidates,
-never admits one.  Completing 46 frames gives a certified stabilizer
+against all 132 blocks (each image as a bitmask, looked up among the
+block masks), so the forcing only ever discards candidates, never
+admits one.  Completing 46 frames gives a certified stabilizer
 chain of positions 0..4, proving the group sharply 5-transitive of order
 12*11*10*9*8; products along the chain list the group, and five look-ups
 give the automorphism extending an affinity (Remark 3).  The reported
 generating pair is certified by a deterministic Schreier-Sims: the
 group it generates has the chain's order, so it is the whole group.
 
-Affinities of the 9-point residue of a line are enumerated by a small
-backtracking search over point images that requires every completed
-line image to be a line.
+Affinities of the 9-point residue of a line come from a forced
+backtracking search: the cut line through two assigned images fixes
+the image of its third point, so only a point completing no cut line
+branches; each forced image is checked against every line it completes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import prod
 from typing import Iterable, Sequence
 
 from .checks import InvariantError, Record, affine_residue, require
 from .design import WittModel
-from .gf3 import MOD, Mat, det, mat_inv, mat_mul, vec_add, vec_mat, vec_scale
+from .gf3 import MOD, Mat, det, dot, mat_inv, mat_mul, vec_mat, vec_scale
 from .plane import PLANE, ProjLine, ProjPoint
 
 Perm = tuple[int, ...]
@@ -75,8 +77,7 @@ class Collineation(Record):
 
     def point_map(self) -> tuple[int, ...]:
         """Images of all 13 points, by index."""
-        index = PLANE._point_index
-        return tuple(index[_image(self.matrix, p.rep)] for p in PLANE.points)
+        return tuple(_point_of(self.matrix, v) for v in _REPS)
 
     def compose(self, other: "Collineation") -> "Collineation":
         """Apply self first, then other (row-vector action composes left to right)."""
@@ -86,35 +87,42 @@ class Collineation(Record):
         return Collineation.from_matrix(mat_inv(Mat(self.matrix)).rows)
 
 
-def _image(m: Matrix3, v: Sequence[int]) -> tuple[int, int, int]:
-    """Canonical representative of v times m: apply_vec without a Mat."""
+_REPS = tuple(p.rep for p in PLANE.points)
+_POINT_OF = {vec_scale(c, v): i for i, v in enumerate(_REPS) for c in (1, 2)}
+
+
+def _point_of(m: Matrix3, v: Sequence[int]) -> int:
+    """Index of the point v times m, read off all 26 nonzero vectors."""
     (a, b, c), (d, e, f), (g, h, i) = m
     x, y, z = v
-    r = ((x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD)
-    if (r[0] or r[1] or r[2]) == 2:
-        return ((2 * r[0]) % MOD, (2 * r[1]) % MOD, (2 * r[2]) % MOD)
-    return r
+    return _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
 
 
 @lru_cache(maxsize=1)
-def all_collineations() -> tuple[Collineation, ...]:
-    """All 5616 collineations in row-major order of canonical matrices: a
-    canonical first row, then each row off the span of the rows above it."""
+def _matrices() -> tuple[Matrix3, ...]:
+    """All 5616 canonical matrices in row-major order: a canonical first
+    row, then each row off the span of the rows above: r2 has a nonzero
+    cross product n with r1, and r3 a nonzero dot product with n."""
     vecs = list(product(range(MOD), repeat=3))
-    firsts = sorted((p.rep for p in PLANE.points), key=lambda v: (v.index(1), v))
+    off = {n: [v for v in vecs if dot(n, v)] for n in vecs}
     out = []
-    for r1 in firsts:
-        span1 = {vec_scale(c, r1) for c in range(MOD)}
-        for r2 in (v for v in vecs if v not in span1):
-            span2 = {vec_add(a, vec_scale(c, r2)) for a in span1 for c in range(MOD)}
-            out.extend(Collineation((r1, r2, r3)) for r3 in vecs if r3 not in span2)
+    for r1 in sorted(_REPS, key=lambda v: (v.index(1), v)):
+        a, b, c = r1
+        for r2 in vecs:
+            d, e, f = r2
+            n = ((b * f - c * e) % MOD, (c * d - a * f) % MOD, (a * e - b * d) % MOD)
+            out.extend((r1, r2, r3) for r3 in off[n])
     return tuple(out)
 
 
+def all_collineations() -> tuple[Collineation, ...]:
+    """All 5616 collineations, in row-major order of canonical matrices."""
+    return tuple(map(Collineation, _matrices()))
+
+
 def stabilizer_of(p: ProjPoint) -> tuple[Collineation, ...]:
-    """All collineations fixing the given point."""
-    rep = p.rep
-    return tuple(c for c in all_collineations() if _image(c.matrix, rep) == rep)
+    """All collineations fixing the given point, in the same order."""
+    return tuple(Collineation(mx) for mx in _matrices() if _point_of(mx, p.rep) == p.index)
 
 
 def induced_permutation(m: WittModel, c: Collineation) -> Perm:
@@ -142,8 +150,14 @@ def invert_perm(p: Perm) -> Perm:
 
 
 def is_design_automorphism(m: WittModel, perm: Perm) -> bool:
+    """Whether perm sends each block onto a block: the OR of the images'
+    bits must be a block mask (a repeated image leaves fewer than six)."""
+    if min(perm) < 0:  # no bit; an image above 11 sets one no block has
+        return False
+    bits, masks = [1 << y for y in perm], m.block_masks
     return all(
-        tuple(sorted(perm[x] for x in b)) in m.local_blockset for b in m.local_blocks
+        bits[a] | bits[b] | bits[c] | bits[d] | bits[e] | bits[f] in masks
+        for a, b, c, d, e, f in m.local_blocks
     )
 
 
@@ -360,47 +374,50 @@ def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, in
     return {x.index: u.index, u.index: x.index, y: z, z: y}
 
 
-def _residue_lines(g: ProjLine) -> tuple[tuple[int, ...], list]:
-    """The off-line points of g and its 12 cut lines in local positions 0..8."""
+def _residue_lines(g: ProjLine) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The 12 cut lines of g in local positions 0..8, each ascending, and
+    third[a][b], the third point of the one cut line through a and b."""
     residue = affine_residue(PLANE, g)
     pos = {p: i for i, p in enumerate(residue.points)}
-    return residue.points, [tuple(pos[x] for x in ln) for ln in residue.blocks]
+    lines = [tuple(sorted(pos[x] for x in ln)) for ln in residue.blocks]
+    third = {(a, b): c for ln in lines for a, b, c in permutations(ln)}
+    return lines, [[third.get((a, b), -1) for b in range(9)] for a in range(9)]
 
 
 def affinities(g: ProjLine) -> tuple[Perm, ...]:
     """All permutations of the 9 off-line points preserving the 12 cut lines.
 
-    Exhaustive backtracking over images in point order; whenever the
-    three points of a cut line are all assigned, their images must form
-    a cut line.  The check is a necessary condition, so no
-    line-preserving permutation is ever pruned.
+    Exhaustive backtracking over images in point order.  A point
+    completing a cut line has one candidate, the third point of the cut
+    line through the other two images; it must be unused and agree with
+    every cut line the point completes.  Other points branch over every
+    unused image.  Each condition is necessary, so no line-preserving
+    permutation is pruned, and every survivor keeps every cut line.
     """
-    pts, lines = _residue_lines(g)
-    lineset = {frozenset(ln) for ln in lines}
-    complete_at: list[list[tuple[int, ...]]] = [[] for _ in range(9)]
-    for ln in lines:
-        complete_at[max(ln)].append(ln)
+    lines, third = _residue_lines(g)
+    complete_at = [[(x, y) for x, y, z in lines if z == i] for i in range(9)]
     found: list[Perm] = []
     image = [-1] * 9
-    used = [False] * 9
 
-    def place(i: int) -> None:
+    def place(i: int, used: int) -> None:
+        # images 0..i-1 are assigned; used is their bitmask
+        while i < 9 and complete_at[i]:
+            (x, y), *_ = pairs = complete_at[i]
+            j = third[image[x]][image[y]]
+            if used >> j & 1 or any(third[image[a]][image[b]] != j for a, b in pairs):
+                return
+            image[i] = j
+            used |= 1 << j
+            i += 1
         if i == 9:
             found.append(tuple(image))
             return
         for j in range(9):
-            if used[j]:
-                continue
-            image[i] = j
-            if all(
-                frozenset(image[x] for x in ln) in lineset for ln in complete_at[i]
-            ):
-                used[j] = True
-                place(i + 1)
-                used[j] = False
-        image[i] = -1
+            if not used >> j & 1:
+                image[i] = j
+                place(i + 1, used | 1 << j)
 
-    place(0)
+    place(0, 0)
     return tuple(sorted(found))
 
 
@@ -415,11 +432,9 @@ def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
     """
     pts = affine_residue(PLANE, g).points
     pos = {p: i for i, p in enumerate(pts)}
-    reps = {PLANE.points[i].rep for i in g.points}
-    a, b = (PLANE.points[i].rep for i in g.points[:2])
-    fixing = [
-        c for c in all_collineations() if _image(c.matrix, a) in reps and _image(c.matrix, b) in reps
-    ]
+    on_g = set(g.points)
+    a, b = (_REPS[i] for i in g.points[:2])
+    fixing = [Collineation(mx) for mx in _matrices() if _point_of(mx, a) in on_g and _point_of(mx, b) in on_g]
     table = {}
     for c in fixing:
         pm = c.point_map()
@@ -460,9 +475,8 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
         raise ValueError("the line must pass through U")
     if sorted(alpha) != list(range(9)):
         raise ValueError("alpha must be a permutation of 0..8")
-    _, lines = _residue_lines(g)
-    lineset = {frozenset(ln) for ln in lines}
-    if any(frozenset(alpha[x] for x in ln) not in lineset for ln in lines):
+    lines, third = _residue_lines(g)
+    if any(third[alpha[x]][alpha[y]] != alpha[z] for x, y, z in lines):
         raise ValueError("alpha does not preserve the cut lines")
     ((kappa, _, beta),) = _extensions(m, g, [alpha])
     if beta is None:

@@ -19,3 +19,20 @@ def test_src_lines_counts_only_the_package_modules(tmp_path):
     (pkg / "sub" / "c.py").write_text("not counted\n")
     (tmp_path / "src" / "d.py").write_text("not counted\n")
     assert bench.src_lines(tmp_path) == 4
+
+
+def summary(per_seed):
+    return {"per_seed": per_seed, "median": {k: sorted(v)[len(v) // 2] for k, v in per_seed.items()}}
+
+
+def test_compare_adds_the_per_command_medians_both_trees_report():
+    parent = summary({"op_p50_s": [0.2, 0.3, 0.4], "aut_p50_s": [0.2, 0.2, 0.2], "verify_p50_s": [0.1] * 3})
+    change = summary({"op_p50_s": [0.1, 0.3, 0.5], "aut_p50_s": [0.1, 0.3, 0.1], "remark3_p50_s": [0.1] * 3})
+    out = bench.compare(parent, change, {"op_p50_s": "lower"})
+    # verify_p50_s and remark3_p50_s are reported by one tree only
+    assert set(out) == {"op_p50_s", "aut_p50_s"}
+    aut = out["aut_p50_s"]
+    assert aut["change_wins"] == "2/3"  # lower is better
+    assert (aut["parent_median"], aut["change_median"]) == (0.2, 0.1)
+    assert aut["change_over_parent"] == 0.5
+    assert aut["parent_iqr"] == 0.0

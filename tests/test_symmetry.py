@@ -2,8 +2,8 @@
 
 The automorphism list is re-verified here with machinery the search
 never touches: a vectorized block-image comparison over all 95040
-candidates, and a full 9!-scan oracle for the affinity count of one
-line.  The group order and transitivity degree are pinned, and the
+candidates, and a full 9!-scan oracle for the affinities of two lines,
+one of each residue shape.  The group order and transitivity degree are pinned, and the
 Schreier-Sims order is checked against the closure of the generators.
 Each Remark 3 extension, read off the stabilizer chain, is checked
 against the full enumeration as the reference, and each line's table of
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from witt12 import gf3, symmetry
+from witt12.checks import InvariantError
 from witt12.design import construct
 from witt12.gf3 import Mat
 from witt12.plane import PLANE, collinear
@@ -64,6 +65,10 @@ def test_collineations_are_the_nonsingular_canonical_matrices(collineations):
             if gf3.det(Mat(m)) != 0:
                 reference.append(m)
     assert [c.matrix for c in collineations] == reference
+
+
+def test_all_collineations_list_the_matrix_enumeration(collineations):
+    assert tuple(c.matrix for c in collineations) == symmetry._matrices()
 
 
 def test_collineation_canonical_form():
@@ -346,6 +351,21 @@ def test_engine_rejects_repeated_points(model):
         complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 4, 5]])
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        (*range(11), 0),  # a repeated image
+        (1, 1, *range(2, 12)),
+        (*range(11), 12),  # an image past 11
+        (12, *range(1, 12)),
+        (*range(11), -1),  # a negative image, which has no bit
+        (-1, *range(1, 12)),
+    ],
+)
+def test_a_non_permutation_is_not_an_automorphism(model, perm):
+    assert is_design_automorphism(model, perm) is False
+
+
 def test_non_automorphism_is_rejected(model):
     # swapping two points inside one block but not its partner blocks
     p = list(identity_perm())
@@ -375,11 +395,20 @@ def affine_lines_of(g):
     ]
 
 
-def test_affinities_against_full_permutation_scan():
-    g = PLANE.lines[0]
+@pytest.fixture(scope="module")
+def all_perms9():
+    return np.array(list(itertools.permutations(range(9))), dtype=np.int8)
+
+
+# lines #0 and #1 are the two residue shapes the forced search meets: in
+# the residue of #0 the fourth point branches and every later one is
+# forced, in that of #1 the fifth point branches too
+@pytest.mark.parametrize("k", [0, 1])
+def test_affinities_against_full_permutation_scan(all_perms9, k):
+    g = PLANE.lines[k]
     lines = np.array(affine_lines_of(g), dtype=np.int8)
     assert lines.shape == (12, 3)
-    perms = np.array(list(itertools.permutations(range(9))), dtype=np.int8)
+    perms = all_perms9
     img = perms[:, lines]
     img.sort(axis=2)
     codes = img.astype(np.int32) @ np.array([81, 9, 1], dtype=np.int32)
@@ -494,8 +523,9 @@ def test_two_completions_of_one_image_row_raise(lines_through_u, monkeypatch):
         symmetry.automorphism_group(construct())
 
 
-def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_u, monkeypatch):
-    g = lines_through_u[0]
+def swap_later_carriers(model, g, monkeypatch):
+    """Corrupt every carrier after the first: the extension of an affinity
+    of g's residue then disagrees with it off the five-point frame."""
     wpos = [model.w_position[p.index] for p in PLANE.points if p.index not in g.points]
     swap = {wpos[5]: wpos[6], wpos[6]: wpos[5]}  # affine points outside the frame
     carrier = symmetry._carrier
@@ -509,10 +539,22 @@ def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_
         return c if len(calls) == 1 else tuple(swap.get(x, x) for x in c)
 
     monkeypatch.setattr(symmetry, "_carrier", swapped)
+
+
+def test_completion_disagreeing_off_the_frame_is_a_failure(model, lines_through_u, monkeypatch):
+    g = lines_through_u[0]
+    swap_later_carriers(model, g, monkeypatch)
     report = verify_extension_formula(model, g)
     assert report.checks == 0
     assert len(report.failures) == 432
     assert all(f[1:] == (None, None, None) for f in report.failures)
+
+
+def test_extend_affinity_raises_when_no_automorphism_agrees(model, lines_through_u, monkeypatch):
+    g = lines_through_u[0]
+    swap_later_carriers(model, g, monkeypatch)
+    with pytest.raises(InvariantError, match="^no design automorphism extends the affinity$"):
+        extend_affinity(model, g, identity_perm(9))
 
 
 @pytest.mark.parametrize("g", range(13))
@@ -542,14 +584,14 @@ def test_a_missing_or_repeated_collineation_raises(
     # with one non-identity collineation fixing g dropped, its affinity
     # has no extension; with one repeated, kappa is no longer unique
     g = lines_through_u[0]
-    full = all_collineations()
-    c = next(
-        c for c in full
-        if c != Collineation.identity() and {c.point_map()[x] for x in g.points} == set(g.points)
+    full = symmetry._matrices()
+    i, mx = next(
+        (i, mx) for i, mx in enumerate(full)
+        if Collineation(mx) != Collineation.identity()
+        and {Collineation(mx).point_map()[x] for x in g.points} == set(g.points)
     )
-    i = full.index(c)
-    edited = full[:i] + full[i + 1:] if change == "drop" else full + (c,)
-    monkeypatch.setattr(symmetry, "all_collineations", lambda: edited)
+    edited = full[:i] + full[i + 1:] if change == "drop" else full + (mx,)
+    monkeypatch.setattr(symmetry, "_matrices", lambda: edited)
     with pytest.raises(AssertionError):
         verify_extension_formula(model, g)
 
