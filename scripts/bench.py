@@ -33,7 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # per-command latency medians perfbench reports beside the end-to-end metrics
-COMMAND_P50S = ("aut_p50_s", "remark3_p50_s", "construct_p50_s", "verify_p50_s", "reject_p50_s", "solve_cmd_p50_s")
+COMMAND_P50S = (
+    "aut_p50_s", "remark3_p50_s", "construct_p50_s", "verify_p50_s", "reject_p50_s", "solve_cmd_p50_s",
+)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:

@@ -3,11 +3,12 @@
 The automorphism list is re-verified here with machinery the search
 never touches: a vectorized block-image comparison over all 95040
 candidates, and a full 9!-scan oracle for the affinities of two lines,
-one of each residue shape.  The group order and transitivity degree are pinned, and the
-Schreier-Sims order is checked against the closure of the generators.
-Each Remark 3 extension, read off the stabilizer chain, is checked
-against the full enumeration as the reference, and each line's table of
-collineations against the independent backtracking over affinities.
+one of each residue shape.  The group order and transitivity degree are
+pinned, and the Schreier-Sims order is checked against the closure of
+the generators.  Each Remark 3 extension, read off the stabilizer chain,
+is checked against the full enumeration as the reference, and each
+line's table of collineations against the independent backtracking
+over affinities.
 """
 
 import hashlib
@@ -26,7 +27,6 @@ from witt12.plane import PLANE, collinear
 from witt12.symmetry import (
     Collineation,
     affinities,
-    all_collineations,
     complete_automorphisms,
     compose_perm,
     elliptic_involution,
