@@ -24,13 +24,7 @@ from typing import Iterable, Union
 from .checks import IncidenceStructure, Record, require
 from .gf3 import MOD, Mat, det, null_space
 from .plane import PLANE, ProjLine, ProjPoint
-from .quadrics import (
-    QuadraticForm,
-    conic_geometry,
-    evaluate,
-    form_pair_representatives,
-    level_set,
-)
+from .quadrics import MONOMIALS, QuadraticForm, conic_geometry, evaluate, point_values, representative_coeffs
 
 DEFAULT_U_INDEX = 4  # the point 1:0:0
 DEFAULT_U = PLANE.points[DEFAULT_U_INDEX]
@@ -79,16 +73,11 @@ class WittModel(Record):
         return f"WittModel(u={self.u}, blocks={len(self.blocks)})"
 
 
-def block_of_form(q: QuadraticForm, u: ProjPoint = DEFAULT_U) -> Block | None:
-    """Candidate point set of q, or None when it is too small to be a block."""
-    if q.is_zero():
-        raise ValueError("the zero form defines no block")
-    target = (2 * evaluate(q, u)) % MOD
-    members = tuple(
-        p.index
-        for p in PLANE.points
-        if p.index != u.index and evaluate(q, p) == target
-    )
+def _candidate(values: tuple[int, ...], u: int) -> Block | None:
+    """The points X != U with q(X) = 2 q(U), read off q's value vector,
+    or None when they are too few to be a block."""
+    target = 2 * values[u] % MOD
+    members = tuple(i for i, v in enumerate(values) if v == target and i != u)
     if len(members) <= 3:
         return None
     # sizes 4, 5, or 7+ would break the construction; they never occur
@@ -96,27 +85,36 @@ def block_of_form(q: QuadraticForm, u: ProjPoint = DEFAULT_U) -> Block | None:
     return members
 
 
-def _classify_from_form(q: QuadraticForm, u: ProjPoint, block: Block) -> BlockClass:
+def block_of_form(q: QuadraticForm, u: ProjPoint = DEFAULT_U) -> Block | None:
+    """Candidate point set of q, or None when it is too small to be a block."""
+    if q.is_zero():
+        raise ValueError("the zero form defines no block")
+    return _candidate(point_values(q.coeffs), u.index)
+
+
+def _classify_from_form(
+    u: ProjPoint, block: Block, coeffs: tuple[int, ...], values: tuple[int, ...]
+) -> BlockClass:
     bset = set(block)
-    if evaluate(q, u) == 0:
+    zero = {i for i, v in enumerate(values) if v == 0}
+    if values[u.index] == 0:
         # U lies on the zero set, which must be a pair of lines through U
-        zero = {p.index for p in level_set(q, 0)}
-        pair = tuple(ln for ln in PLANE.lines if set(ln.points) <= zero)
+        pair = tuple(ln for ln in PLANE.lines if zero.issuperset(ln.points))
         require(len(pair) == 2, "the zero set through U is not a line pair")
         union = set(pair[0].points) | set(pair[1].points)
         require(union == bset | {u.index}, "the line pair is not the block plus U")
         return LinePairMinusU(pair)
-    zero = level_set(q, 0)
     if len(zero) == 4:
+        q = QuadraticForm(coeffs)  # type: ignore[arg-type]
         geo = conic_geometry(q)
         require(u in geo.internal, "U is not internal to the conic")
         require({p.index for p in geo.external} == bset, "block is not the exterior")
         return ConicExterior(q)
     require(len(zero) == 1, f"zero set of size {len(zero)}")
-    center = next(iter(zero))
+    (center,) = zero
     pair = tuple(
         ln
-        for ln in PLANE.lines_through(center)
+        for ln in PLANE.lines_through(PLANE.points[center])
         if len(bset.intersection(ln.points)) == 3
     )
     require(len(pair) == 2, "no line pair through the centre")
@@ -128,16 +126,17 @@ def _classify_from_form(q: QuadraticForm, u: ProjPoint, block: Block) -> BlockCl
 
 def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     """Build the design for the given removed point (default 1:0:0)."""
-    found: dict[Block, QuadraticForm] = {}
-    for q in form_pair_representatives():
-        b = block_of_form(q, u)
+    found: dict[Block, tuple] = {}
+    for coeffs in representative_coeffs():
+        values = point_values(coeffs)
+        b = _candidate(values, u.index)
         if b is not None:
             # each block has a unique witness form up to doubling
             require(b not in found, "a block with two witness forms")
-            found[b] = q
+            found[b] = coeffs, values
     blocks = tuple(sorted(found))
     require(len(blocks) == 132, "the design does not have 132 blocks")
-    classes = tuple(_classify_from_form(found[b], u, b) for b in blocks)
+    classes = tuple(_classify_from_form(u, b, *found[b]) for b in blocks)
     w = tuple(p.index for p in PLANE.points if p.index != u.index)
     w_position = {pt: i for i, pt in enumerate(w)}
     local_blocks = tuple(tuple(w_position[x] for x in b) for b in blocks)
@@ -230,14 +229,6 @@ class BlockSolution(Record):
     determinant: int
 
 
-def _quad_row(v: tuple[int, int, int]) -> tuple[int, ...]:
-    x0, x1, x2 = v
-    return (
-        x0 * x0 % MOD, x0 * x1 % MOD, x0 * x2 % MOD,
-        x1 * x1 % MOD, x1 * x2 % MOD, x2 * x2 % MOD,
-    )
-
-
 def solve_block_through(d: Iterable[int], u: ProjPoint = DEFAULT_U) -> BlockSolution:
     """Find the block through five points by solving for the form directly.
 
@@ -249,11 +240,8 @@ def solve_block_through(d: Iterable[int], u: ProjPoint = DEFAULT_U) -> BlockSolu
     projective solution with q(U) != 0 (case A).
     """
     pts = _validated_five(d, u)
-    urow = _quad_row(u.rep)
-    rows = [
-        tuple((a + b) % MOD for a, b in zip(_quad_row(PLANE.points[i].rep), urow))
-        for i in pts
-    ]
+    urow = MONOMIALS[u.index]
+    rows = [tuple((a + b) % MOD for a, b in zip(MONOMIALS[i], urow)) for i in pts]
     system = Mat.from_rows(rows)
     stacked = Mat.from_rows(rows + [list(urow)])
     if u.index == DEFAULT_U_INDEX:

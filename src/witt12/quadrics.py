@@ -6,6 +6,10 @@ unchanged (2^2 = 1), so forms evaluate on projective points directly.
 Each nonzero form splits the 13 points into three level sets; the
 cardinality signature of that split identifies the form, up to doubling
 the coefficients, with exactly one of four canonical shapes.
+
+``point_values`` gives a form's value vector, its 13 values at once from
+a per-point monomial table; every level-set question reads it, and
+``design.construct`` computes it once per form.
 """
 
 from __future__ import annotations
@@ -62,21 +66,33 @@ def evaluate(q: QuadraticForm, p: ProjPoint) -> int:
     return evaluate_vec(q, p.rep)
 
 
+# the monomials x0^2, x0x1, x0x2, x1^2, x1x2, x2^2 at each point, reduced,
+# in coefficient order: q(p) is the dot product of p's row with q
+MONOMIALS = tuple(
+    tuple(m % MOD for m in (x * x, x * y, x * z, y * y, y * z, z * z)) for x, y, z in (p.rep for p in PLANE.points)
+)
+
+
+def point_values(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The values of the nonzero form with these coefficients at the 13
+    points, by index: its value vector."""
+    if not any(coeffs):
+        raise ValueError("the zero form has no meaningful level sets")
+    a, b, c, d, e, f = coeffs
+    return tuple(
+        (a * m0 + b * m1 + c * m2 + d * m3 + e * m4 + f * m5) % MOD
+        for m0, m1, m2, m3, m4, m5 in MONOMIALS
+    )
+
+
 def level_set(q: QuadraticForm, t: int) -> frozenset[ProjPoint]:
     """All points where q takes the value t; the zero form is rejected."""
-    if q.is_zero():
-        raise ValueError("the zero form has no meaningful level sets")
-    t = t % MOD
-    return frozenset(p for p in PLANE.points if evaluate(q, p) == t)
+    return frozenset(p for p, v in zip(PLANE.points, point_values(q.coeffs)) if v == t % MOD)
 
 
 def signature(q: QuadraticForm) -> tuple[int, int, int]:
-    counts = [0, 0, 0]
-    if q.is_zero():
-        raise ValueError("the zero form has no meaningful level sets")
-    for p in PLANE.points:
-        counts[evaluate(q, p)] += 1
-    return counts[0], counts[1], counts[2]
+    values = point_values(q.coeffs)
+    return values.count(0), values.count(1), values.count(2)
 
 
 class QuadricType(Enum):
@@ -139,7 +155,8 @@ def conic_geometry(q: QuadraticForm) -> ConicGeometry:
     """
     if classify(q) is not QuadricType.CONIC:
         raise ValueError("conic geometry needs a nondegenerate conic form")
-    conic_pts = tuple(sorted(level_set(q, 0), key=lambda p: p.index))
+    values = point_values(q.coeffs)
+    conic_pts = tuple(p for p, v in zip(PLANE.points, values) if v == 0)
     conic_idx = {p.index for p in conic_pts}
     tangents = tuple(
         ln for ln in PLANE.lines if len(conic_idx.intersection(ln.points)) == 1
@@ -153,7 +170,7 @@ def conic_geometry(q: QuadraticForm) -> ConicGeometry:
     )
     require(len(conic_pts) == 4 and len(tangents) == 4, "a conic needs four tangents")
     require(len(external) == 6 and len(internal) == 3, "wrong external/internal split")
-    levels = {level_set(q, 1), level_set(q, 2)}
+    levels = {frozenset(p for p, v in zip(PLANE.points, values) if v == t) for t in (1, 2)}
     require({frozenset(external), frozenset(internal)} == levels, "levels disagree")
     return ConicGeometry(q, conic_pts, tangents, external, internal)
 
@@ -179,6 +196,14 @@ def all_nonzero_forms() -> Iterator[QuadraticForm]:
             yield QuadraticForm(coeffs)  # type: ignore[arg-type]
 
 
+def representative_coeffs() -> Iterator[tuple[int, ...]]:
+    """The coefficients of one form per {q, 2q} pair, in lexicographic
+    order: those whose first nonzero entry is 1, the smaller of the two."""
+    for k in range(5, -1, -1):
+        for rest in product(range(MOD), repeat=5 - k):
+            yield (0,) * k + (1,) + rest
+
+
 def form_pair_representatives() -> tuple[QuadraticForm, ...]:
     """One representative per {q, 2q} pair: the lexicographically smaller."""
-    return tuple(q for q in all_nonzero_forms() if q.coeffs <= q.doubled().coeffs)
+    return tuple(map(QuadraticForm, representative_coeffs()))

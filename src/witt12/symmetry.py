@@ -12,22 +12,27 @@ on every run.
 Design automorphisms come from one forcing engine that completes the
 images of a 5-point frame.  Every later image is forced, because an
 automorphism must send the unique block over five assigned points to
-the unique block over their images, pinning the sixth point.  Where the
-forcing chain stalls (the assigned points fill out a single block) the
-engine branches over all unused images.  Survivors are finally checked
-against all 132 blocks (each image as a bitmask, looked up among the
-block masks), so the forcing only ever discards candidates, never
-admits one.  Completing 46 frames gives a certified stabilizer
-chain of positions 0..4, proving the group sharply 5-transitive of order
+the unique block over their images, pinning the sixth point; a forced
+image is written into the row it extends.  Where the forcing chain
+stalls (the assigned points fill out a single block) the engine
+branches over all unused images, copying each row.  Survivors are
+finally checked against all 132 blocks (each image as a bitmask, looked
+up among the block masks), so the forcing only ever discards
+candidates, never admits one.  Completing 46 frames gives a certified
+stabilizer chain of positions 0..4, proving the group sharply 5-transitive of order
 12*11*10*9*8; products along the chain list the group, and five look-ups
 give the automorphism extending an affinity (Remark 3).  The reported
-generating pair is certified by a deterministic Schreier-Sims: the
-group it generates has the chain's order, so it is the whole group.
+generating pair is certified against the chain's order.  The chain
+proves the group transitive, so a pair whose orbit of one point misses
+another generates a proper subgroup and is skipped.  For the others a
+deterministic Schreier-Sims stops once its product of basic orbit
+lengths, a lower bound on the order of the pair's group, reaches the
+chain's order: then the pair generates the whole group.
 
-Affinities of the 9-point residue of a line come from a forced
-backtracking search: the cut line through two assigned images fixes
-the image of its third point, so only a point completing no cut line
-branches; each forced image is checked against every line it completes.
+Affinities of the 9-point residue of a line come from a forced search
+in a static order: the images of three non-collinear points branch, and
+the cut line through two assigned images fixes the image of its third
+point; each forced image is checked against every line it completes.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import prod
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .checks import InvariantError, Record, affine_residue, require
 from .design import WittModel
@@ -76,8 +82,12 @@ class Collineation(Record):
         return PLANE.point_from_vec(self.apply_vec(p.rep))
 
     def point_map(self) -> tuple[int, ...]:
-        """Images of all 13 points, by index."""
-        return tuple(_point_of(self.matrix, v) for v in _REPS)
+        """Images of all 13 points, by index, each as in _point_of."""
+        (a, b, c), (d, e, f), (g, h, i) = self.matrix
+        return tuple(
+            _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
+            for x, y, z in _REPS
+        )
 
     def compose(self, other: "Collineation") -> "Collineation":
         """Apply self first, then other (row-vector action composes left to right)."""
@@ -139,7 +149,8 @@ def identity_perm(n: int = 12) -> Perm:
 
 def compose_perm(p: Perm, q: Perm) -> Perm:
     """Apply p first, then q."""
-    return tuple(q[x] for x in p)
+    # itemgetter of one index returns the item, not a 1-tuple
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[x] for x in p)
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -203,14 +214,21 @@ def complete_automorphisms(
         img = [row[frame.index(j)] if j in frame else -1 for j in range(12)]
         rows.append((img, sum(1 << y for y in row)))
     for step in _forcing_program(frame, sixth):
-        # forced: the sixth point of the block over five assigned images
-        force, x = step[0] == "force", step[-1]
-        rows = [
-            (img[:x] + [y] + img[x + 1:], used | 1 << y)
-            for img, used in rows
-            for y in ((sixth[sum(1 << img[s] for s in step[1])],) if force else range(12))
-            if not used >> y & 1
-        ]
+        x = step[-1]
+        if step[0] == "branch":  # the only step that copies a row
+            rows = [(img[:x] + [y] + img[x + 1:], used | 1 << y)
+                    for img, used in rows for y in range(12) if not used >> y & 1]
+            continue
+        # forced: the sixth point of the block over five assigned images,
+        # written into the row it extends
+        a, b, c, d, e = step[1]
+        kept = []
+        for img, used in rows:
+            y = sixth[1 << img[a] | 1 << img[b] | 1 << img[c] | 1 << img[d] | 1 << img[e]]
+            if not used >> y & 1:
+                img[x] = y
+                kept.append((img, used | 1 << y))
+        rows = kept
     return [tuple(img) for img, _ in rows if is_design_automorphism(m, img)]
 
 
@@ -275,9 +293,10 @@ def group_closure(generators: Sequence[Perm]) -> set[Perm]:
     return seen
 
 
-def group_order(generators: Sequence[Perm]) -> int:
-    """Order of the group the permutations generate, by a deterministic
-    Schreier-Sims: the product of the basic orbit lengths.
+def _running_orders(generators: Sequence[Perm]) -> Iterator[int]:
+    """The product of the basic orbit lengths of a deterministic
+    Schreier-Sims, after each new strong generator: an increasing
+    sequence of lower bounds on the group's order, ending at the order.
 
     Level i holds the strong generators fixing base[:i] and a
     transversal of their orbit of base[i].  Every Schreier generator of
@@ -287,7 +306,7 @@ def group_order(generators: Sequence[Perm]) -> int:
     every level 0..j, and checking resumes at level j.
     """
     if not generators:
-        return 1
+        return
     ident = identity_perm(len(generators[0]))
     base: list[int] = []
     strong: list[list[Perm]] = []
@@ -332,6 +351,7 @@ def group_order(generators: Sequence[Perm]) -> int:
         h, j = sift(g)
         if h != ident:
             add(h, j)
+            yield prod(map(len, trans))
     i = len(base) - 1
     while i >= 0:
         found = unsifted(i)
@@ -339,8 +359,14 @@ def group_order(generators: Sequence[Perm]) -> int:
             i -= 1
         else:
             add(*found)
+            yield prod(map(len, trans))
             i = found[1]
-    return prod(len(t) for t in trans)
+
+
+def group_order(generators: Sequence[Perm]) -> int:
+    """Order of the group the permutations generate, by a deterministic
+    Schreier-Sims: the last, and largest, of its running products."""
+    return max(_running_orders(generators), default=1)
 
 
 class GroupSummary(Record):
@@ -355,10 +381,13 @@ def automorphism_group(m: WittModel) -> GroupSummary:
     chain = _chain(m)
     order = prod(len(level) for level in chain)
     # the level-0 rows are the lexicographically least automorphism with
-    # each image of point 0; the first pair whose Schreier-Sims order is
-    # the chain's generates the whole group
+    # each image of point 0; the first pair generating a group of the
+    # chain's order is the whole group (see the module docstring)
     for pair in combinations(chain[0][1:], 2):
-        if group_order(pair) == order:
+        orbit = [0]
+        for x in orbit:
+            orbit.extend(y for y in {g[x] for g in pair} if y not in orbit)
+        if len(orbit) == 12 and order in _running_orders(pair):
             return GroupSummary(order, pair, order == 12 * 11 * 10 * 9 * 8)
     raise InvariantError("no generating pair among the coset leaders: invariant broken")
 
@@ -387,37 +416,37 @@ def _residue_lines(g: ProjLine) -> tuple[list[tuple[int, ...]], list[list[int]]]
 def affinities(g: ProjLine) -> tuple[Perm, ...]:
     """All permutations of the 9 off-line points preserving the 12 cut lines.
 
-    Exhaustive backtracking over images in point order.  A point
-    completing a cut line has one candidate, the third point of the cut
-    line through the other two images; it must be unused and agree with
-    every cut line the point completes.  Other points branch over every
-    unused image.  Each condition is necessary, so no line-preserving
-    permutation is pruned, and every survivor keeps every cut line.
+    Static order: 0, 1, the first point off their cut line, then each
+    time the first point completing a cut line with placed points.  The
+    first three images branch over distinct points off one cut line
+    (9*8*6); each later one is forced, unused and agrees with every cut
+    line its point completes.  Each condition is necessary, and each cut
+    line ends past the first three, so survivors are exactly the affinities.
     """
     lines, third = _residue_lines(g)
-    complete_at = [[(x, y) for x, y, z in lines if z == i] for i in range(9)]
+    order = [0, 1, next(x for x in range(2, 9) if x != third[0][1])]
+    steps = []
+    while len(order) < 9:
+        x = next(x for x in range(9) if x not in order and any(third[x][a] in order for a in order))
+        (a, b), *rest = [(a, third[x][a]) for a in order if third[x][a] in order and a < third[x][a]]
+        steps.append((x, a, b, rest))
+        order.append(x)
+    p0, p1, p2 = order[:3]
     found: list[Perm] = []
     image = [-1] * 9
-
-    def place(i: int, used: int) -> None:
-        # images 0..i-1 are assigned; used is their bitmask
-        while i < 9 and complete_at[i]:
-            (x, y), *_ = pairs = complete_at[i]
-            j = third[image[x]][image[y]]
-            if used >> j & 1 or any(third[image[a]][image[b]] != j for a, b in pairs):
-                return
-            image[i] = j
+    for j0, j1, j2 in permutations(range(9), 3):
+        if third[j0][j1] == j2:
+            continue
+        image[p0], image[p1], image[p2] = j0, j1, j2
+        used = 1 << j0 | 1 << j1 | 1 << j2
+        for x, a, b, rest in steps:
+            j = third[image[a]][image[b]]
+            if used >> j & 1 or rest and any(third[image[c]][image[d]] != j for c, d in rest):
+                break
+            image[x] = j
             used |= 1 << j
-            i += 1
-        if i == 9:
+        else:
             found.append(tuple(image))
-            return
-        for j in range(9):
-            if not used >> j & 1:
-                image[i] = j
-                place(i + 1, used | 1 << j)
-
-    place(0, 0)
     return tuple(sorted(found))
 
 
@@ -426,19 +455,24 @@ def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
     """The collineations fixing g, keyed by their restriction to g's
     affine residue (positions 0..8, as in affinities), with point maps.
 
-    A collineation fixes g exactly when it sends two points of g onto g.
+    The matrix with rows r1, r2, r3 fixes g exactly when it maps g's
+    dual vector n to a multiple of itself: (r1.n, r2.n, r3.n) is n or 2n.
     No two may share a restriction, so each affinity has at most one
     extension to a collineation.
     """
     pts = affine_residue(PLANE, g).points
-    pos = {p: i for i, p in enumerate(pts)}
-    on_g = set(g.points)
-    a, b = (_REPS[i] for i in g.points[:2])
-    fixing = [Collineation(mx) for mx in _matrices() if _point_of(mx, a) in on_g and _point_of(mx, b) in on_g]
+    pos = [pts.index(p) if p in pts else -1 for p in range(13)]
+    n = g.dual
+    dual_dot = {v: dot(v, n) for v in product(range(MOD), repeat=3)}
+    multiples = {n, vec_scale(2, n)}
+    fixing = [
+        Collineation(mx) for mx in _matrices() if (dual_dot[mx[0]], dual_dot[mx[1]], dual_dot[mx[2]]) in multiples
+    ]
+    at_pts = itemgetter(*pts)
     table = {}
     for c in fixing:
         pm = c.point_map()
-        table[tuple(pos[pm[p]] for p in pts)] = (c, pm)
+        table[itemgetter(*at_pts(pm))(pos)] = (c, pm)
     require(len(table) == len(fixing), "two collineations restrict to one affinity")
     return table
 
@@ -450,7 +484,8 @@ def _extensions(
     it, kappa's point map, and the automorphism sending the first five
     affine points to their images, or None unless it agrees on all nine."""
     pts = affine_residue(PLANE, g).points
-    wpos = [m.w_position[p] for p in pts]
+    wpos = tuple(m.w_position[p] for p in pts)
+    at_wpos = itemgetter(*wpos)
     table = _line_collineations(g)
     chain = _chain(m)
     to_frame = invert_perm(_carrier(chain, wpos[:5]))
@@ -460,7 +495,7 @@ def _extensions(
         require(alpha in table, "no collineation extends the affinity")
         kappa, pm = table[alpha]
         beta = compose_perm(to_frame, _carrier(chain, w[:5]))
-        out.append((kappa, pm, beta if tuple(beta[x] for x in wpos) == w else None))
+        out.append((kappa, pm, beta if at_wpos(beta) == w else None))
     return out
 
 
@@ -518,7 +553,7 @@ def verify_extension_formula(m: WittModel, g: ProjLine) -> ExtensionReport:
         if beta is None:
             failures.append((alpha, None, None, None))
             continue
-        u_pre = invert_perm(pm)[u]
+        u_pre = pm.index(u)
         for x, gamma in zip(others, gammas):
             rhs = pm[gamma[u_pre]]
             lhs = m.w[beta[m.w_position[x]]]

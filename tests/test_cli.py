@@ -283,22 +283,63 @@ def test_remark3_report(capsys):
     assert "failures: 0" in out
 
 
-# sha256 of the structured stdout, pinned from the output of the
-# whole-group restriction lookup that remark3 used before it completed
-# each affinity from five images
+# sha256 of the structured stdout at every (U, line through U) pair;
+# the first 12 were pinned from the whole-group restriction lookup that
+# remark3 used before it completed each affinity from five images, the
+# rest from the commit before the value-vector and in-place forcing rewrite
 REMARK3_DIGESTS = {
     ("#0", "#1"): "332d1a80dc6cce10ec0fccd93c4c5aead0f968790d94af4de0dba7b92bac7049",
     ("#0", "#4"): "cc5fc7b8fac99be87d50fe4275a371b148fbcb253cf13cd0659a7f48663c5d26",
     ("#0", "#7"): "314408c854b17caa30ce116b4b335fe3a9b47993cdf4fa1588daf51c612f0c7b",
     ("#0", "#10"): "d36f356af659e1a570b6b60fe6e5785b6a4d32a2bcffdc2da1ee238f3e3c0394",
+    ("#1", "#0"): "44e10561041afac1c03b2e6db93a655483391f068c3be495e20bfe00cc665b7d",
+    ("#1", "#4"): "643cc759f4d7c8565fe3d051d66f565245d26eb570e846f4b2ce147645877447",
+    ("#1", "#5"): "510a90a7704fc7c633212dcefe8300748282ef53bd212fa60cd73c2893d012a7",
+    ("#1", "#6"): "963d317926e3d892ffb9aa5ea85f2602cd54ad203edd03261c724866af2c1683",
+    ("#2", "#3"): "631795a67ace15d7ec66cdbbb99a5e6fa3e028c6667a0b0549602c27fa859ba1",
+    ("#2", "#4"): "928a2a15d06d0cb8d1ca9ee9e7a311a985e3bb03f259328dabc2b88efaa73464",
+    ("#2", "#9"): "c9a27f85aa28eb6084f77663a072768e03735c333e9448ebcfa7e2a3a3824923",
+    ("#2", "#11"): "35af795e6e17986adc3fa74159315376b1dfeca7e2a48f1561eae51b17a86e48",
+    ("#3", "#2"): "fe58b77c8804f95f54d14ab30a54684c1db956e5cc27c19dd17f85e6d6e24381",
+    ("#3", "#4"): "6250a4e38c616f902cff64c8db51029c0c0b86a170d0ddc3b44591fed54eb7da",
+    ("#3", "#8"): "6c2db042374deb3c82fc51f35014b518d1fbb2301c0c3516808cbd7d2a732487",
+    ("#3", "#12"): "229262834822a1bc13c320d8be484ed76612365897e7560bbd023c909052d9a8",
     ("#4", "#0"): "c3dd941385793799f3b84059ba9cca211269fbec8d6c59f6890a31d89aef9550",
     ("#4", "#1"): "797c81021b7d6440546041d3ff09e732db3c50a4da1871401f1958c00112332d",
     ("#4", "#2"): "c0adef6326dcc609c033c0874a82ecaa852e83650918950583d5beba2e005139",
     ("#4", "#3"): "94377b1595098791feab3ceda64ee2787a7ae3866f8894f0ecc8cdecc790a959",
+    ("#5", "#1"): "a4092dcca4a5fe117c86b45175f3da60860b47e2db32f2a3c86516653fef48e1",
+    ("#5", "#6"): "580a87ea89ed8fd904a151ec2531d08b07cffe1cf07e3c56fe13de6f5910bf17",
+    ("#5", "#9"): "9f8b6080cb1ca47b4f72db86adacc0b0e9841a1ec2ff36fd46e9cb9c9fe1b2c8",
+    ("#5", "#12"): "ef1d088e73fcd1cf92dd01a2550e0a5306a0e61a8d36a77ffa2b143c24f2fdd1",
+    ("#6", "#1"): "fb02fd8909986204116e4116a0e07594568fa00f8b84215134c34bc8ec82a275",
+    ("#6", "#5"): "177b4ce67ee1eb71c4a174dc0e594a811b357e23905c9a0579c33961898c5a7b",
+    ("#6", "#8"): "5ae0a273f70c1c208bab59d783aa3deeea91d68829abe41885a491fe5a9a91a2",
+    ("#6", "#11"): "9cce7730b2190b00d85de653095bfbd761f3e6027146d830d63fb7cffd578fa7",
+    ("#7", "#0"): "149ce71d990e59a818c9ff3652ce96ebde99869bdbacf33167ad0650e5807300",
+    ("#7", "#10"): "501ba987fe13fb961438fc01d5c4ae8516a8ca6d4518d87146cde2144477f788",
+    ("#7", "#11"): "5b779e95295246c84eac1990aff43f748d3cae0f5d520b0e97281f462ff67d41",
+    ("#7", "#12"): "2cfba6c10abcaf8114034b362d4c8905e15989ee08d8c770e0c861ffd228b4ae",
+    ("#8", "#3"): "22d207d83ba85ed79c7a74b5ec05ee0bc3b16efc143800c4b7832222770337f1",
+    ("#8", "#6"): "f3fb52c5dd1116adad90b80c2c84a1931213f546880d208572375c0c4636579c",
+    ("#8", "#8"): "27f1cbaa67ab6e058e7f9e884d82496487d0692a35c685677ea4aed7890e3af5",
+    ("#8", "#10"): "7cd256e47878939c6f7832ec06ed256f00620a385aafe564f8ca95c54dbe63f8",
     ("#9", "#2"): "2dfe55394f2ce299a8b70022af1d5dce91d0d3fe43a5e783c9e0ed0416f53f99",
     ("#9", "#5"): "7aac015817f4feb96f3d688fd848944ca5bc5e591ea321d1ea7618e996fa771a",
     ("#9", "#9"): "656f59e81576f085fdd80b24102fbd28635d629431cc86c6736b4f0576681d52",
     ("#9", "#10"): "65e87a08373f4dd68c27ab95bc47d9cb0bed21124340334c99bc0d8702082257",
+    ("#10", "#0"): "149ce71d990e59a818c9ff3652ce96ebde99869bdbacf33167ad0650e5807300",
+    ("#10", "#7"): "386fe538c5600ceb282534940fac80aab606f8ee9fe5f93ba2580a27647ae102",
+    ("#10", "#8"): "27f1cbaa67ab6e058e7f9e884d82496487d0692a35c685677ea4aed7890e3af5",
+    ("#10", "#9"): "656f59e81576f085fdd80b24102fbd28635d629431cc86c6736b4f0576681d52",
+    ("#11", "#2"): "2dfe55394f2ce299a8b70022af1d5dce91d0d3fe43a5e783c9e0ed0416f53f99",
+    ("#11", "#6"): "f3fb52c5dd1116adad90b80c2c84a1931213f546880d208572375c0c4636579c",
+    ("#11", "#7"): "ff76ba83ef27ec3683db90db9d59c29c0f0f1582efbfbd941331c43c7a7d76c8",
+    ("#11", "#11"): "5b779e95295246c84eac1990aff43f748d3cae0f5d520b0e97281f462ff67d41",
+    ("#12", "#3"): "22d207d83ba85ed79c7a74b5ec05ee0bc3b16efc143800c4b7832222770337f1",
+    ("#12", "#5"): "7aac015817f4feb96f3d688fd848944ca5bc5e591ea321d1ea7618e996fa771a",
+    ("#12", "#7"): "123851f76f3487ebf49ac2eb2e2c0e306554f7a5f6da0c252d0963152dc3e2a5",
+    ("#12", "#12"): "2cfba6c10abcaf8114034b362d4c8905e15989ee08d8c770e0c861ffd228b4ae",
 }
 
 # sha256 of aut --format structured, indexed by U, pinned from the

@@ -16,6 +16,8 @@ from collections import Counter
 import pytest
 
 import witt12
+from witt12 import design, quadrics
+from witt12.checks import InvariantError
 from witt12.design import (
     ConicExterior,
     LinePairMinusU,
@@ -246,3 +248,63 @@ def test_every_u_is_a_collineation_image_of_the_default(model, collineations, u)
         assert (sol.case == "B") == line_pair == (sol.determinant == 0)
         cases[sol.case] += 1
     assert cases == {"A": 540, "B": 252}
+
+
+# ------------------------------------------------- value-vector fault injection
+
+
+def corrupt_point_values(monkeypatch, corrupt):
+    """Make construct and conic_geometry read corrupt(coeffs, values) as
+    the value vector of each form."""
+    real = quadrics.point_values
+    fake = lambda coeffs: corrupt(tuple(coeffs), list(real(coeffs)))  # noqa: E731
+    monkeypatch.setattr(design, "point_values", fake)
+    monkeypatch.setattr(quadrics, "point_values", fake)
+
+
+def conic_witnesses(model):
+    return [c.form.coeffs for c in model.classes if isinstance(c, ConicExterior)]
+
+
+@pytest.mark.parametrize("point", [0, 4, 12])
+def test_a_value_wrong_at_one_point_breaks_a_candidate_size(monkeypatch, point):
+    def corrupt(coeffs, v):
+        v[point] = (v[point] + 1) % 3
+        return tuple(v)
+
+    corrupt_point_values(monkeypatch, corrupt)
+    with pytest.raises(InvariantError, match="^candidate set of size [0-9]+$"):
+        construct()
+
+
+def test_a_form_given_another_witness_values_makes_two_witnesses(model, monkeypatch):
+    first, second = conic_witnesses(model)[:2]
+    values = quadrics.point_values(second)
+    corrupt_point_values(monkeypatch, lambda coeffs, v: values if coeffs == first else tuple(v))
+    with pytest.raises(InvariantError, match="^a block with two witness forms$"):
+        construct()
+
+
+def test_a_witness_given_a_non_block_values_loses_a_block(model, monkeypatch):
+    first = conic_witnesses(model)[0]
+    values = quadrics.point_values((0, 0, 0, 0, 0, 1))  # x2^2: no block
+    corrupt_point_values(monkeypatch, lambda coeffs, v: values if coeffs == first else tuple(v))
+    with pytest.raises(InvariantError, match="^the design does not have 132 blocks$"):
+        construct()
+
+
+def test_a_conic_with_two_values_swapped_splits_against_its_levels(model, monkeypatch):
+    # an external and an internal point trade values: the tangents still
+    # give the true split, which the level sets no longer match
+    first = conic_witnesses(model)[0]
+    geo = quadrics.conic_geometry(QuadraticForm(first))
+    e, i = geo.external[0].index, next(p.index for p in geo.internal if p != model.u)
+
+    def corrupt(coeffs, v):
+        if coeffs == first:
+            v[e], v[i] = v[i], v[e]
+        return tuple(v)
+
+    corrupt_point_values(monkeypatch, corrupt)
+    with pytest.raises(InvariantError, match="^levels disagree$"):
+        construct()

@@ -23,6 +23,7 @@ from witt12.quadrics import (
     evaluate_vec,
     form_pair_representatives,
     level_set,
+    point_values,
     signature,
 )
 
@@ -150,6 +151,8 @@ def test_line_pair_zero_set_is_a_union_of_two_lines():
 def test_form_pair_representatives():
     reps = form_pair_representatives()
     assert len(reps) == 364
+    # the smaller of each pair, in the order of all_nonzero_forms
+    assert reps == tuple(q for q in all_nonzero_forms() if q.coeffs <= q.doubled().coeffs)
     seen = set()
     for q in reps:
         assert q.coeffs <= q.doubled().coeffs
@@ -209,3 +212,10 @@ def test_internal_points_avoid_all_tangents():
         tangent_pts = set().union(*(t.points for t in geo.tangents))
         for p in geo.internal:
             assert p.index not in tangent_pts
+
+
+def test_point_values_is_evaluate_at_every_point():
+    for q in all_nonzero_forms():
+        assert point_values(q.coeffs) == tuple(evaluate(q, p) for p in PLANE.points)
+    with pytest.raises(ValueError):
+        point_values((0,) * 6)

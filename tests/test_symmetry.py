@@ -240,10 +240,31 @@ def test_all_automorphisms_are_pinned(u):
 
 
 def test_generating_pair_is_required(model, monkeypatch):
-    # an order that never grows: no pair of coset leaders reaches the order
-    monkeypatch.setattr(symmetry, "group_order", lambda gens: 1)
-    with pytest.raises(AssertionError):
+    # running orders that never grow: no pair of coset leaders reaches the order
+    monkeypatch.setattr(symmetry, "_running_orders", lambda gens: iter([1]))
+    with pytest.raises(InvariantError, match="^no generating pair among the coset leaders"):
         symmetry.automorphism_group(model)
+
+
+@pytest.mark.parametrize("u", range(13))
+def test_generators_are_the_first_leader_pair_of_full_order(u):
+    m = construct(PLANE.points[u])
+    pairs = itertools.combinations(symmetry._chain(m)[0][1:], 2)
+    assert symmetry.automorphism_group(m).generators == next(p for p in pairs if group_order(p) == 95040)
+
+
+def test_a_transitive_proper_subgroup_is_rejected_by_schreier_sims(monkeypatch):
+    # at U = #7 the fourth leader pair is transitive on W but generates a
+    # group of order 7920: the orbit filter passes it, the order rejects it
+    m = construct(PLANE.points[7])
+    pairs = list(itertools.combinations(symmetry._chain(m)[0][1:], 2))
+    sifted = []
+    running = symmetry._running_orders
+    monkeypatch.setattr(symmetry, "_running_orders", lambda gens: sifted.append(gens) or running(gens))
+    assert symmetry.automorphism_group(m).generators == pairs[4]
+    assert sifted == pairs[3:5]  # the three intransitive pairs never reach Schreier-Sims
+    monkeypatch.undo()
+    assert group_order(pairs[3]) == 7920
 
 
 def test_automorphism_group_never_closes(monkeypatch):
