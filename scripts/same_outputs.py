@@ -5,6 +5,8 @@ Runs one fixed list of command lines in both trees, each as a cold
 ``python -m witt12.cli`` process, and compares the exit code, stderr and
 the sha256 of stdout (or, for ``construct --out``, of the written file):
 ``aut``, ``construct --out`` and ``classify --witnesses`` at all 13 U,
+``block --method lookup`` through three five-sets of W at each U (the
+first five, the last five and every other point of W),
 ``remark3`` and ``derive`` on all 52 (U, line through U) pairs, each in
 the table and the structured format.  Prints every difference and exits
 1 if there is any, else 0.
@@ -38,6 +40,9 @@ def commands() -> list[list[str]]:
             out.append(["aut", "--u", f"#{u}", "--format", fmt])
             out.append(["construct", "--u", f"#{u}", "--format", fmt, "--out", "out.txt"])
             out.append(["classify", "--witnesses", "--u", f"#{u}", "--format", fmt])
+            w = [f"#{x}" for x in range(13) if x != u]
+            for five in (w[:5], w[-5:], w[::2][:5]):
+                out.append(["block", *five, "--u", f"#{u}", "--method", "lookup", "--format", fmt])
         for u, g in pairs:
             for name in ("remark3", "derive"):
                 out.append([name, "--u", f"#{u}", "--line", f"#{g}", "--format", fmt])

@@ -1,10 +1,15 @@
-"""Generic t-design verification by exhaustive counting.
+"""Generic t-design verification and Steiner-system map completion.
 
 An incidence structure here is a point list plus a block list; blocks
 are stored sorted and the block list itself is sorted, so structural
 equality of two structures is equality of their canonical forms.  The
 verifier takes no shortcuts: it counts, for every t-subset of the
 points, the number of blocks containing it.
+
+A Steiner system S(t, t+1, v) on points 0..v-1 has one block over each
+t-set: its completion table maps each t-set, as a bitmask, to the last
+point of that block, and the engine complete_maps extends partial maps
+through it to exactly the block-preserving permutations.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Hashable, Iterable, Sequence, Union
 
 
@@ -210,3 +215,87 @@ def affine_residue(plane, g) -> IncidenceStructure:
         require(len(cut) == 3, "a line does not meet g in exactly one point")
         blocks.append(cut)
     return IncidenceStructure(pts, blocks)
+
+
+def completion_table(blocks: Iterable[Sequence[int]], v: int, t: int) -> dict[int, int]:
+    """The last point of the block over each t-set of points 0..v-1,
+    keyed by the t-set as a bitmask; the blocks have t + 1 points each."""
+    table: dict[int, int] = {}
+    twice = f"a {t}-set inside two blocks"
+    for b in blocks:
+        mask = sum(1 << x for x in b)
+        for x in b:
+            key = mask ^ 1 << x
+            require(key not in table, twice)
+            table[key] = x
+    require(len(table) == comb(v, t), f"a {t}-set of the {v} points is uncovered")
+    return table
+
+
+def _schedule(blocks: Sequence[Sequence[int]], frame: Sequence[int]) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Static placement order after the frame: each point with the other
+    points of every block it completes, its forcing block first.  The
+    next point completes the first block with one point unplaced, else
+    it is the least unplaced point, completes no block, and branches."""
+    rest = [set(b).difference(frame) for b in blocks]
+    if not all(rest):
+        raise ValueError("the frame contains a block")
+    unplaced = set().union(*rest)
+    steps = []
+    while unplaced:
+        x = next((min(r) for r in rest if len(r) == 1), min(unplaced))
+        steps.append((x, [tuple(p for p in b if p != x) for b, r in zip(blocks, rest) if r == {x}]))
+        unplaced.discard(x)
+        for r in rest:
+            r.discard(x)
+    return steps
+
+
+def complete_maps(
+    table: dict[int, int], blocks: Sequence[Sequence[int]], frame: Sequence[int], images: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Every block-preserving permutation of a Steiner system
+    S(t, t+1, v), t >= 2, with its completion table, sending the frame
+    to one row of images, in the order of the rows they extend.
+
+    A point completing blocks of placed points is forced by the first:
+    its image must be unused and agree with each other block it
+    completes.  A point completing none branches over every unused image
+    (the one step that copies a row).  So every block outside the frame
+    is checked once on every surviving row.  Images are held as bits:
+    the t-set of a block's placed images is the sum of their bits, which
+    the used-image check keeps a bitwise OR.
+    """
+    frame, points = tuple(frame), range(len(set().union(*blocks)))
+    steps = _schedule(blocks, frame)
+    if len(frame) + len(steps) != len(points):  # a repeated point, or one outside
+        raise ValueError("the frame must be distinct points")
+    rows = []
+    for row in images:
+        row = [int(y) for y in row]
+        if len(row) != len(frame) or len(set(row)) != len(row) or not set(row) <= set(points):
+            raise ValueError(f"every image row must be {len(frame)} distinct points")
+        img = [0] * len(points)  # 0: no image yet
+        for x, y in zip(frame, row):
+            img[x] = 1 << y
+        rows.append(img)
+    bit_of = {mask: 1 << y for mask, y in table.items()}
+    for x, done in steps:
+        if not done:
+            rows = [img[:x] + [1 << y] + img[x + 1:] for img in rows for y in points if 1 << y not in img]
+            continue
+        force, *checks = [itemgetter(*others) for others in done]
+        kept = []
+        for img in rows:
+            b = bit_of[sum(force(img))]
+            if b in img:  # used: the map would not be injective
+                continue
+            for c in checks:
+                if bit_of[sum(c(img))] != b:
+                    break
+            else:
+                img[x] = b
+                kept.append(img)
+        rows = kept
+    point_of = {1 << y: y for y in points}
+    return [tuple(map(point_of.__getitem__, img)) for img in rows]

@@ -14,14 +14,15 @@ shapes, each carrying a re-derivable witness:
 
 The solver finds the unique block through five given points of W from
 the five linear conditions q(d) = 2 q(U) on the six coefficients of q,
-without consulting the constructed block list.
+without consulting the constructed block list.  The lookup reads the
+sixth-point table (checks.completion_table) the automorphisms force with.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .checks import IncidenceStructure, Record, require
+from .checks import IncidenceStructure, Record, completion_table, require
 from .gf3 import MOD, Mat, det, null_space
 from .plane import PLANE, ProjLine, ProjPoint
 from .quadrics import MONOMIALS, QuadraticForm, conic_geometry, evaluate, point_values, representative_coeffs
@@ -60,7 +61,7 @@ class WittModel(Record):
     blocks: tuple[Block, ...]
     classes: tuple[BlockClass, ...]
     block_position: dict[Block, int]
-    sixth: dict[int, int]
+    sixth: dict[int, int]  # five W positions as a bitmask -> the sixth point of their block
     local_blocks: tuple[tuple[int, ...], ...]
     block_masks: frozenset[int]  # each local block as a bitmask of W positions
 
@@ -140,15 +141,6 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     w = tuple(p.index for p in PLANE.points if p.index != u.index)
     w_position = {pt: i for i, pt in enumerate(w)}
     local_blocks = tuple(tuple(w_position[x] for x in b) for b in blocks)
-    masks = [sum(1 << x for x in b) for b in local_blocks]
-    # sixth[bitmask of five W positions] is the sixth point of their block
-    sixth: dict[int, int] = {}
-    for b, mask in zip(local_blocks, masks):
-        for x in b:
-            key = mask ^ (1 << x)
-            require(key not in sixth, "a 5-set inside two blocks")
-            sixth[key] = x
-    require(len(sixth) == 792, "a 5-set of W is uncovered")  # C(12,5) = 792
     return WittModel(
         u=u,
         w=w,
@@ -156,9 +148,9 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
         blocks=blocks,
         classes=classes,
         block_position={b: i for i, b in enumerate(blocks)},
-        sixth=sixth,
+        sixth=completion_table(local_blocks, 12, 5),
         local_blocks=local_blocks,
-        block_masks=frozenset(masks),
+        block_masks=frozenset(sum(1 << x for x in b) for b in local_blocks),
     )
 
 

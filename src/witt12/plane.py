@@ -88,18 +88,10 @@ class PlaneModel:
         self._line_index: dict[tuple[int, int, int], int] = {
             ln.dual: ln.index for ln in self.lines
         }
-        self.incidence: tuple[tuple[bool, ...], ...] = tuple(
-            tuple(p.index in ln.points for ln in self.lines) for p in self.points
-        )
         self._lines_through: tuple[tuple[int, ...], ...] = tuple(
             tuple(ln.index for ln in self.lines if p.index in ln.points)
             for p in self.points
         )
-        pair_line: dict[tuple[int, int], int] = {}
-        for ln in self.lines:
-            for a, b in combinations(ln.points, 2):
-                pair_line[(a, b)] = ln.index
-        self._pair_line = pair_line
 
     def point_from_vec(self, v: Sequence[int]) -> ProjPoint:
         return self.points[self._point_index[normalize(v)]]
@@ -107,17 +99,8 @@ class PlaneModel:
     def line_from_dual(self, v: Sequence[int]) -> ProjLine:
         return self.lines[self._line_index[normalize(v)]]
 
-    def line_through(self, p: ProjPoint, q: ProjPoint) -> ProjLine:
-        if p.index == q.index:
-            raise ValueError("two distinct points are needed to span a line")
-        a, b = sorted((p.index, q.index))
-        return self.lines[self._pair_line[(a, b)]]
-
     def lines_through(self, p: ProjPoint) -> tuple[ProjLine, ...]:
         return tuple(self.lines[i] for i in self._lines_through[p.index])
-
-    def incident(self, p: ProjPoint, ln: ProjLine) -> bool:
-        return self.incidence[p.index][ln.index]
 
     def parse_point(self, spec: str) -> ProjPoint:
         """Parse '#k' or 'x0:x1:x2' (entries reduced mod 3, zero rejected)."""

@@ -3,47 +3,40 @@
 Collineations are invertible 3x3 matrices over GF(3) modulo scalars
 (the field is prime, so there is nothing semilinear to add), acting on
 row vectors.  Canonical representative: first nonzero entry 1 in
-row-major order.  One enumeration of all 5616 canonical matrices serves
-every use: the stabilizer of U, and the collineation kappa extending an
-affinity of a line's residue (Remark 3), which is the only one in the
-enumeration with the affinity's restriction; that uniqueness is checked
-on every run.
+row-major order.  The collineations fixing a point or a line are
+enumerated directly (_fixing), 432 each, never filtered out of all
+5616: the stabilizer of U, and the collineations fixing a line g, among
+which the kappa extending an affinity of g's residue (Remark 3) is the
+only one with the affinity's restriction; that uniqueness is checked on
+every run.
 
-Design automorphisms come from one forcing engine that completes the
-images of a 5-point frame.  Every later image is forced, because an
-automorphism must send the unique block over five assigned points to
-the unique block over their images, pinning the sixth point; a forced
-image is written into the row it extends.  Where the forcing chain
-stalls (the assigned points fill out a single block) the engine
-branches over all unused images, copying each row.  Survivors are
-finally checked against all 132 blocks (each image as a bitmask, looked
-up among the block masks), so the forcing only ever discards
-candidates, never admits one.  Completing 46 frames gives a certified
-stabilizer chain of positions 0..4, proving the group sharply 5-transitive of order
-12*11*10*9*8; products along the chain list the group, and five look-ups
-give the automorphism extending an affinity (Remark 3).  The reported
-generating pair is certified against the chain's order.  The chain
-proves the group transitive, so a pair whose orbit of one point misses
-another generates a proper subgroup and is skipped.  For the others a
-deterministic Schreier-Sims stops once its product of basic orbit
-lengths, a lower bound on the order of the pair's group, reaches the
-chain's order: then the pair generates the whole group.
-
-Affinities of the 9-point residue of a line come from a forced search
-in a static order: the images of three non-collinear points branch, and
-the cut line through two assigned images fixes the image of its third
-point; each forced image is checked against every line it completes.
+The design S(5,6,12) and each line's affine residue AG(2,3), an
+S(2,3,9), are Steiner systems with one block over each t-set, and both
+go through the one engine checks.complete_maps with their completion
+tables: the design's sixth-point table WittModel.sixth, and the residue's
+third-point table.  Completing 46 frames of five W-positions gives a
+certified stabilizer chain of positions 0..4, proving the group sharply
+5-transitive of order 12*11*10*9*8; products along the chain list the
+group, and five look-ups give the automorphism extending an affinity
+(Remark 3).  The reported generating pair is certified against the
+chain's order.  The chain proves the group transitive, so a pair whose
+orbit of one point misses another generates a proper subgroup and is
+skipped.  For the others a deterministic Schreier-Sims stops once its
+product of basic orbit lengths, a lower bound on the order of the
+pair's group, reaches the chain's order: then the pair generates the
+whole group.  The affinities of a residue are the engine's completions
+of the empty frame.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .checks import InvariantError, Record, affine_residue, require
+from .checks import InvariantError, Record, affine_residue, complete_maps, completion_table, require
 from .design import WittModel
 from .gf3 import MOD, Mat, det, dot, mat_inv, mat_mul, vec_mat, vec_scale
 from .plane import PLANE, ProjLine, ProjPoint
@@ -82,7 +75,7 @@ class Collineation(Record):
         return PLANE.point_from_vec(self.apply_vec(p.rep))
 
     def point_map(self) -> tuple[int, ...]:
-        """Images of all 13 points, by index, each as in _point_of."""
+        """Images of all 13 points, by index, read off all 26 nonzero vectors."""
         (a, b, c), (d, e, f), (g, h, i) = self.matrix
         return tuple(
             _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
@@ -99,13 +92,6 @@ class Collineation(Record):
 
 _REPS = tuple(p.rep for p in PLANE.points)
 _POINT_OF = {vec_scale(c, v): i for i, v in enumerate(_REPS) for c in (1, 2)}
-
-
-def _point_of(m: Matrix3, v: Sequence[int]) -> int:
-    """Index of the point v times m, read off all 26 nonzero vectors."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    x, y, z = v
-    return _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
 
 
 @lru_cache(maxsize=1)
@@ -130,9 +116,37 @@ def all_collineations() -> tuple[Collineation, ...]:
     return tuple(map(Collineation, _matrices()))
 
 
+def _order(mx: Matrix3) -> tuple:
+    # _matrices order: leading zeros of the (canonical) first row, then the entries
+    return mx[0].index(1), mx
+
+
+def _fixing(n: Sequence[int]) -> list[Matrix3]:
+    """The canonical matrices with rows r1, r2, r3 such that (r1.n, r2.n,
+    r3.n) is n or 2n, that is, mapping the column vector n to a multiple
+    of itself, in the order of _matrices: 432 for a nonzero n."""
+    by_dot = {c: [v for v in product(range(MOD), repeat=3) if dot(v, n) == c] for c in range(MOD)}
+    out = []
+    for k in (1, 2):
+        first, *rest = (by_dot[k * x % MOD] for x in n)
+        canonical = [v for v in first if (v[0] or v[1] or v[2]) == 1]  # first nonzero entry 1
+        for mx in product(canonical, *rest):
+            (a, b, c), (d, e, f), (g, h, i) = mx
+            if (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)) % MOD:  # nonsingular
+                out.append(mx)
+    return sorted(out, key=_order)
+
+
 def stabilizer_of(p: ProjPoint) -> tuple[Collineation, ...]:
-    """All collineations fixing the given point, in the same order."""
-    return tuple(Collineation(mx) for mx in _matrices() if _point_of(mx, p.rep) == p.index)
+    """All collineations fixing the given point, in the order of
+    all_collineations: the transposes of the matrices fixing p.rep as a
+    column vector, re-canonicalised."""
+    out = []
+    for mx in _fixing(p.rep):
+        tr = tuple(zip(*mx))
+        lead = tr[0][0] or tr[0][1] or tr[0][2]  # first nonzero entry
+        out.append(tr if lead == 1 else tuple(tuple(2 * x % MOD for x in r) for r in tr))
+    return tuple(map(Collineation, sorted(out, key=_order)))
 
 
 def induced_permutation(m: WittModel, c: Collineation) -> Perm:
@@ -172,64 +186,19 @@ def is_design_automorphism(m: WittModel, perm: Perm) -> bool:
     )
 
 
-def _forcing_program(frame: Sequence[int], sixth: dict[int, int]) -> list[tuple]:
-    """Static schedule: which image is forced next, and from which five points."""
-    aset = set(frame)
-    program: list[tuple] = []
-    while len(aset) < 12:
-        step = None
-        for sub in combinations(sorted(aset), 5):
-            x = sixth[sum(1 << s for s in sub)]
-            if x not in aset:
-                step = ("force", sub, x)
-                break
-        if step is None:
-            step = ("branch", min(set(range(12)) - aset))
-        program.append(step)
-        aset.add(step[-1])
-    return program
-
-
 def complete_automorphisms(
     m: WittModel, frame: Sequence[int], images: Iterable[Sequence[int]]
 ) -> list[Perm]:
     """Every automorphism sending the frame to one row of images.
 
-    frame holds five distinct W-positions and each row of images five
-    distinct candidate images.  Exhaustive: any block-preserving
-    permutation that maps the frame to some row survives each necessary
-    forcing step and passes the final full block check; conversely only
-    permutations passing the full check are returned.  Surviving rows
-    keep the order of the image rows they extend.
+    frame and each row of images hold five distinct W-positions.  This
+    is checks.complete_maps on the sixth-point table: exhaustive, and
+    the rows it returns follow the order of the image rows they extend.
     """
-    frame, w = tuple(frame), set(range(12))
-    if len(frame) != 5 or len(set(frame) & w) != 5:
+    frame = tuple(frame)
+    if len(frame) != 5 or len(set(frame) & set(range(12))) != 5:
         raise ValueError("the frame must be five distinct points of W")
-    sixth = m.sixth  # the sixth point of the block over a five-point bitmask
-    rows = []
-    for row in images:
-        row = [int(y) for y in row]
-        if len(row) != 5 or len(set(row) & w) != 5:
-            raise ValueError("every image row must be five distinct points of W")
-        img = [row[frame.index(j)] if j in frame else -1 for j in range(12)]
-        rows.append((img, sum(1 << y for y in row)))
-    for step in _forcing_program(frame, sixth):
-        x = step[-1]
-        if step[0] == "branch":  # the only step that copies a row
-            rows = [(img[:x] + [y] + img[x + 1:], used | 1 << y)
-                    for img, used in rows for y in range(12) if not used >> y & 1]
-            continue
-        # forced: the sixth point of the block over five assigned images,
-        # written into the row it extends
-        a, b, c, d, e = step[1]
-        kept = []
-        for img, used in rows:
-            y = sixth[1 << img[a] | 1 << img[b] | 1 << img[c] | 1 << img[d] | 1 << img[e]]
-            if not used >> y & 1:
-                img[x] = y
-                kept.append((img, used | 1 << y))
-        rows = kept
-    return [tuple(img) for img, _ in rows if is_design_automorphism(m, img)]
+    return complete_maps(m.sixth, m.local_blocks, frame, images)
 
 
 @lru_cache(maxsize=13)
@@ -403,51 +372,21 @@ def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, in
     return {x.index: u.index, u.index: x.index, y: z, z: y}
 
 
-def _residue_lines(g: ProjLine) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The 12 cut lines of g in local positions 0..8, each ascending, and
-    third[a][b], the third point of the one cut line through a and b."""
+def _residue(g: ProjLine) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """The 12 cut lines of g in local positions 0..8, and their
+    completion table: the third point of the cut line through two."""
     residue = affine_residue(PLANE, g)
     pos = {p: i for i, p in enumerate(residue.points)}
-    lines = [tuple(sorted(pos[x] for x in ln)) for ln in residue.blocks]
-    third = {(a, b): c for ln in lines for a, b, c in permutations(ln)}
-    return lines, [[third.get((a, b), -1) for b in range(9)] for a in range(9)]
+    lines = [tuple(pos[x] for x in ln) for ln in residue.blocks]
+    return lines, completion_table(lines, 9, 2)
 
 
 def affinities(g: ProjLine) -> tuple[Perm, ...]:
-    """All permutations of the 9 off-line points preserving the 12 cut lines.
-
-    Static order: 0, 1, the first point off their cut line, then each
-    time the first point completing a cut line with placed points.  The
-    first three images branch over distinct points off one cut line
-    (9*8*6); each later one is forced, unused and agrees with every cut
-    line its point completes.  Each condition is necessary, and each cut
-    line ends past the first three, so survivors are exactly the affinities.
-    """
-    lines, third = _residue_lines(g)
-    order = [0, 1, next(x for x in range(2, 9) if x != third[0][1])]
-    steps = []
-    while len(order) < 9:
-        x = next(x for x in range(9) if x not in order and any(third[x][a] in order for a in order))
-        (a, b), *rest = [(a, third[x][a]) for a in order if third[x][a] in order and a < third[x][a]]
-        steps.append((x, a, b, rest))
-        order.append(x)
-    p0, p1, p2 = order[:3]
-    found: list[Perm] = []
-    image = [-1] * 9
-    for j0, j1, j2 in permutations(range(9), 3):
-        if third[j0][j1] == j2:
-            continue
-        image[p0], image[p1], image[p2] = j0, j1, j2
-        used = 1 << j0 | 1 << j1 | 1 << j2
-        for x, a, b, rest in steps:
-            j = third[image[a]][image[b]]
-            if used >> j & 1 or rest and any(third[image[c]][image[d]] != j for c, d in rest):
-                break
-            image[x] = j
-            used |= 1 << j
-        else:
-            found.append(tuple(image))
-    return tuple(sorted(found))
+    """All permutations of the 9 off-line points preserving the 12 cut
+    lines, sorted: the engine's completions of the empty frame, which
+    branch over the images of three non-collinear points (9*8*6)."""
+    lines, table = _residue(g)
+    return tuple(sorted(complete_maps(table, lines, (), [()])))
 
 
 @lru_cache(maxsize=13)
@@ -455,19 +394,14 @@ def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
     """The collineations fixing g, keyed by their restriction to g's
     affine residue (positions 0..8, as in affinities), with point maps.
 
-    The matrix with rows r1, r2, r3 fixes g exactly when it maps g's
-    dual vector n to a multiple of itself: (r1.n, r2.n, r3.n) is n or 2n.
+    A matrix fixes g exactly when it maps g's dual vector n, as a
+    column, to a multiple of itself: the 432 matrices of _fixing(n).
     No two may share a restriction, so each affinity has at most one
     extension to a collineation.
     """
     pts = affine_residue(PLANE, g).points
     pos = [pts.index(p) if p in pts else -1 for p in range(13)]
-    n = g.dual
-    dual_dot = {v: dot(v, n) for v in product(range(MOD), repeat=3)}
-    multiples = {n, vec_scale(2, n)}
-    fixing = [
-        Collineation(mx) for mx in _matrices() if (dual_dot[mx[0]], dual_dot[mx[1]], dual_dot[mx[2]]) in multiples
-    ]
+    fixing = [Collineation(mx) for mx in _fixing(g.dual)]
     at_pts = itemgetter(*pts)
     table = {}
     for c in fixing:
@@ -510,8 +444,8 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
         raise ValueError("the line must pass through U")
     if sorted(alpha) != list(range(9)):
         raise ValueError("alpha must be a permutation of 0..8")
-    lines, third = _residue_lines(g)
-    if any(third[alpha[x]][alpha[y]] != alpha[z] for x, y, z in lines):
+    lines, table = _residue(g)
+    if any(table[1 << alpha[x] | 1 << alpha[y]] != alpha[z] for x, y, z in lines):
         raise ValueError("alpha does not preserve the cut lines")
     ((kappa, _, beta),) = _extensions(m, g, [alpha])
     if beta is None:

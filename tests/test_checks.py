@@ -1,10 +1,14 @@
-"""Design verifier tests.
+"""Design verifier and Steiner-system engine tests.
 
 verify_t_design is the arbiter for the whole package, so its own
 honesty matters most: every violation witness it emits is re-checked
 here by naive counting, and the happy paths are cross-checked against
 structures whose parameters are known (the plane, the model, the affine
-residues).
+residues).  The completion engine is run on both Steiner systems of the
+package, the design S(5,6,12) and a line's affine residue S(2,3,9): its
+schedule must complete every block once, its completion table must
+reject a repeated or a missing block, and its used-image check must
+drop the rows that map a non-collinear frame onto a cut line.
 """
 
 import itertools
@@ -12,11 +16,15 @@ from collections import Counter
 
 import pytest
 
+from witt12 import checks, design, symmetry
 from witt12.checks import (
     DesignParams,
     DesignViolation,
     IncidenceStructure,
+    InvariantError,
     affine_residue,
+    complete_maps,
+    completion_table,
     derived_design,
     lambda_cascade,
     verify_t_design,
@@ -148,6 +156,122 @@ def test_triple_derivation_equals_affine_residue(model, witt, lines_through_u):
         r = affine_residue(PLANE, g)
         assert d.points == r.points
         assert d.blocks == r.blocks
+
+
+# ------------------------------------------------------- Steiner-system engine
+
+
+def local_residue(k):
+    """The cut lines of line #k in positions 0..8 of its affine residue."""
+    residue = affine_residue(PLANE, PLANE.lines[k])
+    pos = {p: i for i, p in enumerate(residue.points)}
+    return [tuple(pos[x] for x in ln) for ln in residue.blocks]
+
+
+STEINER_FRAMES = [
+    ("design", (0, 1, 2, 3, 4)),
+    ("design", (11, 3, 7, 0, 5)),
+    ("design", (0, 1, 2, 3)),
+    ("residue0", ()),
+    ("residue1", ()),
+    ("residue0", (0, 1)),
+    ("residue1", (8, 2, 5)),
+]
+
+
+def steiner_blocks(model, name):
+    return list(model.local_blocks) if name == "design" else local_residue(int(name[-1]))
+
+
+@pytest.mark.parametrize("name, frame", STEINER_FRAMES)
+def test_schedule_completes_every_block_once(model, name, frame):
+    blocks = steiner_blocks(model, name)
+    v = 12 if name == "design" else 9
+    placed = set(frame)
+    completed = []
+    for x, done in checks._schedule(blocks, frame):
+        assert x not in placed
+        for others in done:
+            assert set(others) <= placed  # x is its block's last point
+            completed.append(tuple(sorted((*others, x))))
+        placed.add(x)
+    assert placed == set(range(v))
+    assert sorted(completed) == sorted(tuple(sorted(b)) for b in blocks)
+
+
+def test_completion_tables_of_both_systems(model):
+    assert completion_table(model.local_blocks, 12, 5) == model.sixth
+    lines = local_residue(0)
+    table = completion_table(lines, 9, 2)
+    assert len(table) == 36
+    masks = {sum(1 << x for x in ln) for ln in lines}
+    assert all(key | 1 << x in masks and not key >> x & 1 for key, x in table.items())
+
+
+@pytest.mark.parametrize("name", ["design", "residue0"])
+def test_a_frame_containing_a_block_raises(model, name):
+    blocks = steiner_blocks(model, name)
+    t = len(blocks[0]) - 1
+    table = completion_table(blocks, 12 if name == "design" else 9, t)
+    frame = tuple(blocks[5])
+    with pytest.raises(ValueError, match="^the frame contains a block$"):
+        complete_maps(table, blocks, frame, [frame])
+    extra = next(x for x in range(9) if x not in frame)
+    with pytest.raises(ValueError, match="^the frame contains a block$"):
+        complete_maps(table, blocks, (extra, *frame), [(extra, *frame)])
+
+
+def test_engine_rejects_bad_frames_and_rows():
+    lines = local_residue(0)
+    table = completion_table(lines, 9, 2)
+    for frame in [(0, 0), (0, 9), (-1, 2)]:
+        with pytest.raises(ValueError, match="^the frame must be distinct points$"):
+            complete_maps(table, lines, frame, [(0, 1)])
+    for row in [(0,), (0, 1, 2), (3, 3), (0, 9), (-1, 0)]:
+        with pytest.raises(ValueError, match="^every image row must be 2 distinct points$"):
+            complete_maps(table, lines, (0, 1), [row])
+
+
+def fault(name, blocks):
+    return blocks + blocks[:1] if name == "repeated" else blocks[1:]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("repeated", "^a 5-set inside two blocks$"), ("dropped", "^a 5-set of the 12 points is uncovered$")],
+)
+def test_construct_rejects_a_repeated_or_missing_block(monkeypatch, name, message):
+    # construct's sixth-point table is built by completion_table
+    monkeypatch.setattr(design, "completion_table", lambda b, v, t: completion_table(fault(name, b), v, t))
+    with pytest.raises(InvariantError, match=message):
+        design.construct()
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("repeated", "^a 2-set inside two blocks$"), ("dropped", "^a 2-set of the 9 points is uncovered$")],
+)
+def test_residue_table_rejects_a_repeated_or_missing_line(monkeypatch, name, message):
+    # affinities reads the residue's third-point table from completion_table
+    monkeypatch.setattr(symmetry, "completion_table", lambda b, v, t: completion_table(fault(name, b), v, t))
+    with pytest.raises(InvariantError, match=message):
+        symmetry.affinities(PLANE.lines[3])
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_collinear_frame_rows_die_at_the_used_image_check(k):
+    # frame: three non-collinear points.  A row sending them onto a cut
+    # line forces the third point of the first frame pair onto an image
+    # already used; the other 432 rows each extend to one affinity
+    lines = local_residue(k)
+    table = completion_table(lines, 9, 2)
+    frame = (0, 1, next(x for x in range(2, 9) if x != table[0b11]))
+    rows = list(itertools.permutations(range(9), 3))
+    kept = [r for r in rows if table[1 << r[0] | 1 << r[1]] != r[2]]
+    assert len(kept) == 432
+    completed = complete_maps(table, lines, frame, rows)
+    assert [tuple(p[x] for x in frame) for p in completed] == kept
+    assert sorted(completed) == list(symmetry.affinities(PLANE.lines[k]))
 
 
 # Record, the frozen value base of every record type: the strings below

@@ -107,24 +107,16 @@ def test_normalize_rejects_zero():
 def test_incidence_is_orthogonality():
     for p in PLANE.points:
         for ln in PLANE.lines:
-            assert PLANE.incident(p, ln) == (gf3.dot(p.rep, ln.dual) == 0)
+            assert (p.index in ln.points) == (gf3.dot(p.rep, ln.dual) == 0)
+        assert PLANE.lines_through(p) == tuple(ln for ln in PLANE.lines if gf3.dot(p.rep, ln.dual) == 0)
 
 
 def test_line_through_every_pair():
+    # two points lie on one line: the one whose dual triple is orthogonal to both
     for p, q in itertools.combinations(PLANE.points, 2):
-        ln = PLANE.line_through(p, q)
-        assert p.index in ln.points and q.index in ln.points
-        others = [
-            m
-            for m in PLANE.lines
-            if p.index in m.points and q.index in m.points
-        ]
-        assert others == [ln]
-
-
-def test_line_through_rejects_equal_points():
-    with pytest.raises(ValueError):
-        PLANE.line_through(PLANE.points[3], PLANE.points[3])
+        on_both = [ln for ln in PLANE.lines if p.index in ln.points and q.index in ln.points]
+        assert len(on_both) == 1
+        assert on_both == [ln for ln in PLANE.lines if gf3.dot(p.rep, ln.dual) == gf3.dot(q.rep, ln.dual) == 0]
 
 
 # specs int() would read: underscores, signs, inner spaces, other scripts' digits

@@ -605,14 +605,10 @@ def test_a_missing_or_repeated_collineation_raises(
     # with one non-identity collineation fixing g dropped, its affinity
     # has no extension; with one repeated, kappa is no longer unique
     g = lines_through_u[0]
-    full = symmetry._matrices()
-    i, mx = next(
-        (i, mx) for i, mx in enumerate(full)
-        if Collineation(mx) != Collineation.identity()
-        and {Collineation(mx).point_map()[x] for x in g.points} == set(g.points)
-    )
-    edited = full[:i] + full[i + 1:] if change == "drop" else full + (mx,)
-    monkeypatch.setattr(symmetry, "_matrices", lambda: edited)
+    full = symmetry._fixing(g.dual)
+    i, mx = next((i, mx) for i, mx in enumerate(full) if Collineation(mx) != Collineation.identity())
+    edited = full[:i] + full[i + 1:] if change == "drop" else full + [mx]
+    monkeypatch.setattr(symmetry, "_fixing", lambda n: edited)
     with pytest.raises(AssertionError):
         verify_extension_formula(model, g)
 
