@@ -7,9 +7,11 @@ script copies ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml``
 to a temporary directory, replaces that one statement with ``pass`` in
 the copy, and runs the Tier-1 suite there with ``-x``.  The obligation is killed when
 the suite fails, and survives when it passes: then no test has ever
-seen it fire.  The tree itself is never written.
+seen it fire.  The tree itself is never written.  The unmutated suite
+runs first in the copy: if it fails there, no obligation is counted and
+the script exits 2.
 
-    python3 scripts/mutate_requires.py [--list] [--module NAME]
+    python3 scripts/mutate_requires.py
 
 Prints one line per obligation and the survivor count, and exits 1 if
 any obligation survives.  Each survivor costs one full run of the
@@ -19,7 +21,6 @@ suite.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -63,36 +64,27 @@ def survives(work: Path) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="list the obligations and run nothing")
-    parser.add_argument("--module", help="only this module of the package, for example design")
-    args = parser.parse_args()
-    files = sorted((ROOT / PACKAGE).glob("*.py"))
-    if args.module:
-        files = [f for f in files if f.stem == args.module]
-        if not files:
-            parser.error(f"no module {args.module!r} in {PACKAGE}")
     survivors = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in ("src", "tests", "scripts"):
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        for f in files:
+        if not survives(work):
+            print("the unmutated suite fails in the copy; no obligation counted", file=sys.stderr)
+            return 2
+        for f in sorted((ROOT / PACKAGE).glob("*.py")):
             source = f.read_text()
             target = work / PACKAGE / f.name
             for node in sites(source):
                 total += 1
-                where = f"{PACKAGE / f.name}:{node.lineno}: {ast.get_source_segment(source, node)}"
-                if args.list:
-                    print(where.splitlines()[0])
-                    continue
                 target.write_text(without(source, node))
                 try:
                     alive = survives(work)
                 finally:
                     target.write_text(source)
                 survivors += alive
+                where = f"{PACKAGE / f.name}:{node.lineno}: {ast.get_source_segment(source, node)}"
                 print(f"{'SURVIVED' if alive else 'killed  '} {where.splitlines()[0]}", flush=True)
     print(f"{total} obligations, {survivors} survived")
     return 1 if survivors else 0

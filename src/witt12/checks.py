@@ -262,7 +262,8 @@ def complete_maps(
     its image must be unused and agree with each other block it
     completes.  A point completing none branches over every unused image
     (the one step that copies a row).  So every block outside the frame
-    is checked once on every surviving row.  Images are held as bits:
+    is checked once on every surviving row, and the schedule's checks
+    must number the blocks.  Images are held as bits:
     the t-set of a block's placed images is the sum of their bits, which
     the used-image check keeps a bitwise OR.
     """
@@ -270,6 +271,7 @@ def complete_maps(
     steps = _schedule(blocks, frame)
     if len(frame) + len(steps) != len(points):  # a repeated point, or one outside
         raise ValueError("the frame must be distinct points")
+    require(sum(len(done) for _, done in steps) == len(blocks), "the schedule checks a block twice or never")
     rows = []
     for row in images:
         row = [int(y) for y in row]

@@ -63,7 +63,6 @@ class WittModel(Record):
     block_position: dict[Block, int]
     sixth: dict[int, int]  # five W positions as a bitmask -> the sixth point of their block
     local_blocks: tuple[tuple[int, ...], ...]
-    block_masks: frozenset[int]  # each local block as a bitmask of W positions
 
     # compared by identity: a model is an lru_cache key, and its dict
     # fields are unhashable
@@ -150,7 +149,6 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
         block_position={b: i for i, b in enumerate(blocks)},
         sixth=completion_table(local_blocks, 12, 5),
         local_blocks=local_blocks,
-        block_masks=frozenset(sum(1 << x for x in b) for b in local_blocks),
     )
 
 

@@ -175,13 +175,14 @@ def invert_perm(p: Perm) -> Perm:
 
 
 def is_design_automorphism(m: WittModel, perm: Perm) -> bool:
-    """Whether perm sends each block onto a block: the OR of the images'
-    bits must be a block mask (a repeated image leaves fewer than six)."""
-    if min(perm) < 0:  # no bit; an image above 11 sets one no block has
+    """Whether perm sends each block onto a block: the images of its
+    first five points must be five points of W (a sixth-point key) whose
+    block's sixth point is the image of its sixth."""
+    if min(perm) < 0:  # no bit; an image above 11 sets one no key has
         return False
-    bits, masks = [1 << y for y in perm], m.block_masks
+    bits, sixth = [1 << y for y in perm], m.sixth
     return all(
-        bits[a] | bits[b] | bits[c] | bits[d] | bits[e] | bits[f] in masks
+        sixth.get(bits[a] | bits[b] | bits[c] | bits[d] | bits[e]) == perm[f]
         for a, b, c, d, e, f in m.local_blocks
     )
 

@@ -6,9 +6,10 @@ here by naive counting, and the happy paths are cross-checked against
 structures whose parameters are known (the plane, the model, the affine
 residues).  The completion engine is run on both Steiner systems of the
 package, the design S(5,6,12) and a line's affine residue S(2,3,9): its
-schedule must complete every block once, its completion table must
-reject a repeated or a missing block, and its used-image check must
-drop the rows that map a non-collinear frame onto a cut line.
+schedule must complete every block once (a faulty one raises), its
+completion table must reject a repeated or a missing block, and its
+used-image check must drop the rows that map a non-collinear frame onto
+a cut line.
 """
 
 import itertools
@@ -197,6 +198,21 @@ def test_schedule_completes_every_block_once(model, name, frame):
         placed.add(x)
     assert placed == set(range(v))
     assert sorted(completed) == sorted(tuple(sorted(b)) for b in blocks)
+
+
+@pytest.mark.parametrize("name", ["dropped", "repeated"])
+def test_a_schedule_that_checks_a_block_twice_or_never_raises(monkeypatch, model, name):
+    schedule = checks._schedule
+
+    def faulty(blocks, frame):
+        steps = schedule(blocks, frame)
+        x, done = steps[-1]
+        steps[-1] = (x, done[1:] if name == "dropped" else done + done[:1])
+        return steps
+
+    monkeypatch.setattr(checks, "_schedule", faulty)
+    with pytest.raises(InvariantError, match="^the schedule checks a block twice or never$"):
+        symmetry.complete_automorphisms(model, range(5), [range(5)])
 
 
 def test_completion_tables_of_both_systems(model):
