@@ -3,9 +3,10 @@
 
 A proof obligation is a ``require(...)`` call or a ``raise
 InvariantError(...)`` statement in ``src/witt12``.  For each one, this
-script copies ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml``
-to a temporary directory, replaces that one statement with ``pass`` in
-the copy, and runs the Tier-1 suite there with ``-x``.  The obligation is killed when
+script copies ``src/``, ``tests/``, ``scripts/``, ``perfbench/`` (whose
+tracer table a test reads) and ``pyproject.toml`` to a temporary
+directory, replaces that one statement with ``pass`` in the copy, and
+runs the Tier-1 suite there with ``-x``.  The obligation is killed when
 the suite fails, and survives when it passes: then no test has ever
 seen it fire.  The tree itself is never written.  The unmutated suite
 runs first in the copy: if it fails there, no obligation is counted and
@@ -67,7 +68,7 @@ def main() -> int:
     survivors = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in ("src", "tests", "scripts"):
+        for name in ("src", "tests", "scripts", "perfbench"):
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         if not survives(work):

@@ -78,7 +78,7 @@ def class_from_record(rec: ClassRecord) -> BlockClass:
     if rec.kind == KIND_CONIC:
         if rec.form is None:
             raise DesignFileError("conic record without a form")
-        return ConicExterior(QuadraticForm.from_coeffs(rec.form))
+        return ConicExterior(QuadraticForm.of(*rec.form))
     if rec.kind in (KIND_SYMDIFF, KIND_LINEPAIR):
         if rec.lines is None:
             raise DesignFileError(f"{rec.kind} record without lines")

@@ -18,27 +18,6 @@ MOD = 3
 Vec = tuple[int, ...]
 
 
-def scalar(x: int) -> int:
-    """Canonical residue of an arbitrary integer."""
-    return x % MOD
-
-
-def add(a: int, b: int) -> int:
-    return (a + b) % MOD
-
-
-def sub(a: int, b: int) -> int:
-    return (a - b) % MOD
-
-
-def mul(a: int, b: int) -> int:
-    return (a * b) % MOD
-
-
-def neg(a: int) -> int:
-    return (-a) % MOD
-
-
 def inv(x: int) -> int:
     """Multiplicative inverse of a nonzero scalar; 1 and 2 are self-inverse."""
     r = x % MOD
@@ -49,12 +28,6 @@ def inv(x: int) -> int:
 
 def vec(values: Iterable[int]) -> Vec:
     return tuple(x % MOD for x in values)
-
-
-def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple((a + b) % MOD for a, b in zip(u, v))
 
 
 def vec_scale(c: int, v: Sequence[int]) -> Vec:
@@ -92,36 +65,6 @@ class Mat(Record):
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def column(self, c: int) -> Vec:
-        return tuple(r[c] for r in self.rows)
-
-    def transpose(self) -> "Mat":
-        return Mat(tuple(self.column(c) for c in range(self.ncols)))
-
-
-def identity(n: int) -> Mat:
-    return Mat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a.ncols != b.nrows:
-        raise ValueError("inner dimension mismatch")
-    return Mat(
-        tuple(
-            tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)) % MOD
-                  for j in range(b.ncols))
-            for i in range(a.nrows)
-        )
-    )
-
-
-def vec_mat(v: Sequence[int], m: Mat) -> Vec:
-    """Row vector times matrix."""
-    if len(v) != m.nrows:
-        raise ValueError("vector length mismatch")
-    return tuple(sum(v[i] * m.rows[i][j] for i in range(m.nrows)) % MOD
-                 for j in range(m.ncols))
 
 
 def _eliminate(m: Mat) -> tuple[tuple[Vec, ...], tuple[int, ...], int]:

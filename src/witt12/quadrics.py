@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .checks import InvariantError, Record, require
 from .gf3 import MOD
 from .plane import PLANE, ProjLine, ProjPoint
-
-COEFF_NAMES = ("a00", "a01", "a02", "a11", "a12", "a22")
 
 
 class QuadraticForm(Record):
@@ -38,16 +36,8 @@ class QuadraticForm(Record):
     def of(cls, *coeffs: int) -> "QuadraticForm":
         return cls(tuple(c % MOD for c in coeffs))  # type: ignore[arg-type]
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "QuadraticForm":
-        return cls.of(*coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def doubled(self) -> "QuadraticForm":
-        """The form 2q; it has the same zero set and swapped nonzero levels."""
-        return QuadraticForm(tuple((2 * c) % MOD for c in self.coeffs))  # type: ignore[arg-type]
 
     def coeff_str(self) -> str:
         return ",".join(str(c) for c in self.coeffs)

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .checks import InvariantError, Record, affine_residue, complete_maps, completion_table, require
 from .design import WittModel
-from .gf3 import MOD, Mat, det, dot, mat_inv, mat_mul, vec_mat, vec_scale
+from .gf3 import MOD, dot, vec_scale
 from .plane import PLANE, ProjLine, ProjPoint
 
 Perm = tuple[int, ...]
@@ -51,29 +51,6 @@ class Collineation(Record):
 
     matrix: Matrix3
 
-    @classmethod
-    def from_matrix(cls, rows: Iterable[Iterable[int]]) -> "Collineation":
-        m = tuple(tuple(x % MOD for x in r) for r in rows)
-        if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValueError("expected a 3x3 matrix")
-        if det(Mat(m)) == 0:
-            raise ValueError("matrix is singular")
-        flat = [x for r in m for x in r]
-        lead = next(x for x in flat if x)
-        if lead == 2:
-            m = tuple(tuple((2 * x) % MOD for x in r) for r in m)
-        return cls(m)
-
-    @classmethod
-    def identity(cls) -> "Collineation":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def apply_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        return vec_mat(v, Mat(self.matrix))
-
-    def apply_point(self, p: ProjPoint) -> ProjPoint:
-        return PLANE.point_from_vec(self.apply_vec(p.rep))
-
     def point_map(self) -> tuple[int, ...]:
         """Images of all 13 points, by index, read off all 26 nonzero vectors."""
         (a, b, c), (d, e, f), (g, h, i) = self.matrix
@@ -81,13 +58,6 @@ class Collineation(Record):
             _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
             for x, y, z in _REPS
         )
-
-    def compose(self, other: "Collineation") -> "Collineation":
-        """Apply self first, then other (row-vector action composes left to right)."""
-        return Collineation.from_matrix(mat_mul(Mat(self.matrix), Mat(other.matrix)).rows)
-
-    def inverse(self) -> "Collineation":
-        return Collineation.from_matrix(mat_inv(Mat(self.matrix)).rows)
 
 
 _REPS = tuple(p.rep for p in PLANE.points)
@@ -172,19 +142,6 @@ def invert_perm(p: Perm) -> Perm:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
-
-
-def is_design_automorphism(m: WittModel, perm: Perm) -> bool:
-    """Whether perm sends each block onto a block: the images of its
-    first five points must be five points of W (a sixth-point key) whose
-    block's sixth point is the image of its sixth."""
-    if min(perm) < 0:  # no bit; an image above 11 sets one no key has
-        return False
-    bits, sixth = [1 << y for y in perm], m.sixth
-    return all(
-        sixth.get(bits[a] | bits[b] | bits[c] | bits[d] | bits[e]) == perm[f]
-        for a, b, c, d, e, f in m.local_blocks
-    )
 
 
 def complete_automorphisms(

@@ -51,7 +51,7 @@ def test_frozen_block_examples(model):
 
 def test_block_of_form_constant_on_pair_classes(model):
     for q in form_pair_representatives():
-        assert block_of_form(q, model.u) == block_of_form(q.doubled(), model.u)
+        assert block_of_form(q, model.u) == block_of_form(QuadraticForm.of(*(2 * c for c in q.coeffs)), model.u)
 
 
 def test_model_shape(model):
@@ -223,7 +223,7 @@ def test_alternate_removed_point_gives_isomorphic_design(model):
     assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
     assert other.blocks != model.blocks
     carrier = next(
-        c for c in all_collineations() if c.apply_point(model.u).index == 0
+        c for c in all_collineations() if c.point_map()[model.u.index] == 0
     )
     pm = carrier.point_map()
     mapped = {tuple(sorted(pm[x] for x in b)) for b in model.blocks}
@@ -236,7 +236,7 @@ def test_every_u_is_a_collineation_image_of_the_default(model, collineations, u)
     # collineation kappa with #4 -> U, block for block; the census and the
     # solver's case split (both certificate branches) are the same at every U
     other = construct(PLANE.points[u])
-    kappa = next(c for c in collineations if c.apply_point(model.u).index == u)
+    kappa = next(c for c in collineations if c.point_map()[model.u.index] == u)
     pm = kappa.point_map()
     assert other.blocks == tuple(sorted(tuple(sorted(pm[x] for x in b)) for b in model.blocks))
     assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
@@ -308,3 +308,68 @@ def test_a_conic_with_two_values_swapped_splits_against_its_levels(model, monkey
     corrupt_point_values(monkeypatch, corrupt)
     with pytest.raises(InvariantError, match="^levels disagree$"):
         construct()
+
+
+# --------------------------------------------- witness-check fault injection
+
+
+def replace_points(block, out, into):
+    return tuple(sorted(set(block) - set(out) | set(into)))
+
+
+def one_zero_fewer(u, block, values, lines, off):
+    values[min(i for i, v in enumerate(values) if v == 0 and i != u.index)] = 1
+    return u, block, values
+
+
+def one_zero_more(u, block, values, lines, off):
+    values[block[0]] = 0
+    return u, block, values
+
+
+def block_point_swapped_out(u, block, values, lines, off):
+    return u, replace_points(block, block[:1], [off]), values
+
+
+def block_point_as_u(u, block, values, lines, off):
+    return PLANE.points[block[0]], block, values
+
+
+def centre_and_off_point_swapped_in(u, block, values, lines, off):
+    # each witness line still meets the block in three points, its own
+    # two plus the centre, but the block is no longer their difference
+    r, s = (min(set(ln.points) & set(block)) for ln in lines)
+    (centre,) = set(lines[0].points) & set(lines[1].points)
+    return u, replace_points(block, [r, s], [centre, off]), values
+
+
+WITNESS_FAULTS = [
+    (LinePairMinusU, one_zero_fewer, "the zero set through U is not a line pair"),
+    (LinePairMinusU, block_point_swapped_out, "the line pair is not the block plus U"),
+    (ConicExterior, block_point_as_u, "U is not internal to the conic"),
+    (ConicExterior, block_point_swapped_out, "block is not the exterior"),
+    (SymmetricDifference, one_zero_more, "zero set of size 2"),
+    (SymmetricDifference, block_point_swapped_out, "no line pair through the centre"),
+    (SymmetricDifference, centre_and_off_point_swapped_in, "block is not the symmetric difference"),
+    (SymmetricDifference, block_point_as_u, "U lies on the line pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, change, message",
+    [pytest.param(*f, id=f"{f[0].__name__}-{f[1].__name__}") for f in WITNESS_FAULTS],
+)
+def test_a_tampered_witness_fails_its_shape_check(model, shape, change, message):
+    # a real block of the shape with its witness form's values, then one
+    # of U, the block or the values changed; off is a point off U, the
+    # block and the witness lines
+    k = next(i for i, c in enumerate(model.classes) if isinstance(c, shape))
+    block, lines = model.blocks[k], getattr(model.classes[k], "lines", ())
+    coeffs = next(q.coeffs for q in form_pair_representatives() if block_of_form(q, model.u) == block)
+    used = {model.u.index, *block, *(x for ln in lines for x in ln.points)}
+    off = min(set(range(13)) - used)
+    values = quadrics.point_values(coeffs)
+    assert isinstance(design._classify_from_form(model.u, block, coeffs, values), shape)
+    u, block, values = change(model.u, block, list(values), lines, off)
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        design._classify_from_form(u, block, coeffs, tuple(values))

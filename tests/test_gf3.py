@@ -31,13 +31,14 @@ def square_matrices(n):
     return matrices(n, n)
 
 
-def test_scalar_table_exhaustive():
-    for a, b in itertools.product(range(3), repeat=2):
-        assert gf3.add(a, b) == (a + b) % 3
-        assert gf3.sub(a, b) == (a - b) % 3
-        assert gf3.mul(a, b) == (a * b) % 3
-    for a in range(3):
-        assert gf3.neg(a) == (-a) % 3
+def _mat_mul(a, b):
+    """Textbook row-by-column product, reduced mod 3."""
+    cols = list(zip(*b.rows))
+    return Mat(tuple(tuple(sum(x * y for x, y in zip(r, c)) % 3 for c in cols) for r in a.rows))
+
+
+def _identity(n):
+    return Mat(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def test_inverse():
@@ -47,15 +48,8 @@ def test_inverse():
         gf3.inv(0)
 
 
-def test_scalar_reduces_arbitrary_integers():
-    assert gf3.scalar(3) == 0
-    assert gf3.scalar(-1) == 2
-    assert gf3.scalar(7) == 1
-
-
 def test_vector_helpers():
     assert gf3.vec([4, -1, 9]) == (1, 2, 0)
-    assert gf3.vec_add((1, 2, 0), (2, 2, 1)) == (0, 1, 1)
     assert gf3.vec_scale(2, (1, 2, 0)) == (2, 1, 0)
     assert gf3.dot((1, 2, 0), (2, 2, 1)) == 0
     with pytest.raises(ValueError):
@@ -76,8 +70,6 @@ def test_mat_validation():
 def test_mat_accessors():
     m = Mat.from_rows([[1, 2, 0], [0, 1, 1]])
     assert (m.nrows, m.ncols) == (2, 3)
-    assert m.column(1) == (2, 1)
-    assert m.transpose().rows == ((1, 0), (2, 1), (0, 1))
 
 
 @given(matrices(4, 5))
@@ -123,7 +115,7 @@ def test_null_space_spans_kernel_exhaustively():
     for coeffs in itertools.product(range(3), repeat=len(basis)):
         v = (0,) * 4
         for c, b in zip(coeffs, basis):
-            v = gf3.vec_add(v, gf3.vec_scale(c, b))
+            v = tuple((x + c * y) % 3 for x, y in zip(v, b))
         span.add(v)
     kernel = {
         v
@@ -139,7 +131,7 @@ def test_null_space_of_zero_row():
 
 
 def test_det_identity_and_singular():
-    assert gf3.det(gf3.identity(3)) == 1
+    assert gf3.det(_identity(3)) == 1
     assert gf3.det(Mat.from_rows([[1, 2], [2, 1]])) == 0
     with pytest.raises(ValueError):
         gf3.det(Mat.from_rows([[1, 2, 0]]))
@@ -147,7 +139,7 @@ def test_det_identity_and_singular():
 
 @given(square_matrices(3), square_matrices(3))
 def test_det_multiplicative(a, b):
-    assert gf3.det(gf3.mat_mul(a, b)) == gf3.mul(gf3.det(a), gf3.det(b))
+    assert gf3.det(_mat_mul(a, b)) == gf3.det(a) * gf3.det(b) % 3
 
 
 @given(square_matrices(3))
@@ -196,8 +188,8 @@ def test_mat_inv(m):
         with pytest.raises(ValueError):
             gf3.mat_inv(m)
     else:
-        assert gf3.mat_mul(m, gf3.mat_inv(m)) == gf3.identity(3)
-        assert gf3.mat_mul(gf3.mat_inv(m), m) == gf3.identity(3)
+        assert _mat_mul(m, gf3.mat_inv(m)) == _identity(3)
+        assert _mat_mul(gf3.mat_inv(m), m) == _identity(3)
 
 
 def test_mat_inv_past_augmentation_cap():
@@ -207,7 +199,7 @@ def test_mat_inv_past_augmentation_cap():
     rows[0][4] = 2
     rows[3][1] = 1
     m = Mat.from_rows(rows)
-    assert gf3.mat_mul(m, gf3.mat_inv(m)) == gf3.identity(5)
+    assert _mat_mul(m, gf3.mat_inv(m)) == _identity(5)
 
 
 @given(st.integers(4, 6), st.data())
@@ -218,10 +210,5 @@ def test_mat_inv_round_trip(n, data):
             gf3.mat_inv(m)
     else:
         inverse = gf3.mat_inv(m)
-        assert gf3.mat_mul(m, inverse) == gf3.identity(n)
-        assert gf3.mat_mul(inverse, m) == gf3.identity(n)
-
-
-def test_vec_mat_row_action():
-    m = Mat.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert gf3.vec_mat((1, 2, 0), m) == (0, 1, 2)
+        assert _mat_mul(m, inverse) == _identity(n)
+        assert _mat_mul(inverse, m) == _identity(n)
