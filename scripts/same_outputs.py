@@ -4,12 +4,17 @@
 Runs one fixed list of command lines in both trees, each as a cold
 ``python -m witt12.cli`` process, and compares the exit code, stderr and
 the sha256 of stdout (or, for ``construct --out``, of the written file):
-``aut``, ``construct --out`` and ``classify --witnesses`` at all 13 U,
-``block --method lookup`` through three five-sets of W at each U (the
-first five, the last five and every other point of W),
-``remark3`` and ``derive`` on all 52 (U, line through U) pairs, each in
-the table and the structured format.  Prints every difference and exits
-1 if there is any, else 0.
+``table``; ``aut``, ``construct --out``, ``classify --witnesses`` and
+``verify`` of the canonical file at all 13 U; ``block`` by both methods
+through three five-sets of W at each U (the first five, the last five
+and every other point of W); ``verify`` of one tampered file (exit 1);
+``remark3`` and ``derive`` on all 52 (U, line through U) pairs; and
+three usage errors (exit 2): U = #13, a line not through U and a missing
+file; each in the table and the structured format.  A ``verify`` line
+reads the file that its tree's own ``construct --out`` writes; the
+tampered copy has one point of its first block replaced by the least
+point of W outside it.  Prints every difference and exits 1 if there is
+any, else 0.
 
 Usage: python3 scripts/same_outputs.py PARENT_DIR
 """
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("table", "structured")
+# the files verify lines read: U's canonical design, or a tampered copy
+DESIGN_FILE = re.compile(r"(design|tampered)-([0-9]+)\.json")
 
 
 def commands() -> list[list[str]]:
@@ -34,28 +43,52 @@ def commands() -> list[list[str]]:
     from witt12.plane import PLANE
 
     pairs = [(u, g.index) for u in range(13) for g in PLANE.lines if u in g.points]
+    off_4 = next(g.index for g in PLANE.lines if 4 not in g.points)
     out = []
     for fmt in FORMATS:
+        out.append(["table", "--format", fmt])
         for u in range(13):
             out.append(["aut", "--u", f"#{u}", "--format", fmt])
             out.append(["construct", "--u", f"#{u}", "--format", fmt, "--out", "out.txt"])
             out.append(["classify", "--witnesses", "--u", f"#{u}", "--format", fmt])
+            out.append(["verify", "--format", fmt, f"design-{u}.json"])
             w = [f"#{x}" for x in range(13) if x != u]
             for five in (w[:5], w[-5:], w[::2][:5]):
-                out.append(["block", *five, "--u", f"#{u}", "--method", "lookup", "--format", fmt])
+                for method in ("lookup", "solve"):
+                    out.append(["block", *five, "--u", f"#{u}", "--method", method, "--format", fmt])
+        out.append(["verify", "--format", fmt, "tampered-4.json"])
         for u, g in pairs:
             for name in ("remark3", "derive"):
                 out.append([name, "--u", f"#{u}", "--line", f"#{g}", "--format", fmt])
+        out.append(["construct", "--u", "#13", "--format", fmt])
+        out.append(["remark3", "--u", "#4", "--line", f"#{off_4}", "--format", fmt])
+        out.append(["verify", "--format", fmt, "missing.json"])
     return out
+
+
+def tamper(text: str) -> str:
+    """The design file with the last point of its first block replaced
+    by the least point of W outside that block."""
+    doc = json.loads(text)
+    block = doc["blocks"][0]
+    block[-1] = min(set(range(13)) - {doc["u"], *block})
+    block.sort()
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
     """(exit code, sha256 of stdout or of the --out file, stderr) of one command."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cli = [sys.executable, "-m", "witt12.cli"]
     with tempfile.TemporaryDirectory() as tmp:
-        p = subprocess.run(
-            [sys.executable, "-m", "witt12.cli", *argv], cwd=tmp, env=env, capture_output=True
-        )
+        wanted = DESIGN_FILE.fullmatch(argv[-1])
+        if wanted:
+            kind, u = wanted.groups()
+            design = Path(tmp, f"design-{u}.json")
+            subprocess.run([*cli, "construct", "--u", f"#{u}", "--out", design], cwd=tmp, env=env, check=True)
+            if kind == "tampered":
+                Path(tmp, argv[-1]).write_text(tamper(design.read_text()))
+        p = subprocess.run([*cli, *argv], cwd=tmp, env=env, capture_output=True)
         out = Path(tmp, "out.txt")
         data = out.read_bytes() if "--out" in argv and out.exists() else p.stdout
     return p.returncode, hashlib.sha256(data).hexdigest(), p.stderr.decode(errors="replace")

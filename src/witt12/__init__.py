@@ -35,7 +35,6 @@ from .design import (
     as_incidence_structure,
     block_of_form,
     block_through,
-    classify_block,
     construct,
     rederive_block,
     solve_block_through,
@@ -56,7 +55,6 @@ from .symmetry import (
     GroupSummary,
     affinities,
     all_automorphisms,
-    all_collineations,
     automorphism_group,
     complete_automorphisms,
     extend_affinity,
@@ -89,14 +87,12 @@ __all__ = [
     "affine_residue",
     "affinities",
     "all_automorphisms",
-    "all_collineations",
     "as_incidence_structure",
     "automorphism_group",
     "block_of_form",
     "block_through",
     "canonical_table",
     "classify",
-    "classify_block",
     "collinear_triple_in",
     "complete_automorphisms",
     "conic_geometry",

@@ -152,14 +152,6 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     )
 
 
-def classify_block(m: WittModel, b: Iterable[int]) -> BlockClass:
-    key = tuple(sorted(b))
-    pos = m.block_position.get(key)
-    if pos is None:
-        raise ValueError(f"{key} is not a block of this design")
-    return m.classes[pos]
-
-
 def rederive_block(cls_: BlockClass, u: ProjPoint) -> Block:
     """Recompute a block from its class witness alone."""
     if isinstance(cls_, ConicExterior):

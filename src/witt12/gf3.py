@@ -4,7 +4,7 @@ Scalars are the canonical residues 0, 1, 2 stored as plain ints; every
 operation reduces eagerly, so equality of values is equality of ints.
 Vectors are tuples of scalars.  Matrices are immutable dense row grids
 of any size.  One Gauss-Jordan elimination backs every routine here:
-rref, rank, det, null space, solve and inverse.
+rref, det and null space.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(rows), pivots
 
 
-def rank(m: Mat) -> int:
-    return len(_eliminate(m)[1])
-
-
 def det(m: Mat) -> int:
     """Determinant: the signed pivot product, or 0 when a column has no pivot."""
     if m.nrows != m.ncols:
@@ -133,30 +129,3 @@ def null_space(m: Mat) -> list[Vec]:
             v[pc] = (-red.rows[r][f]) % MOD
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: Mat, rhs: Sequence[int]) -> Vec | None:
-    """One solution of m x = rhs (free variables set to 0), or None."""
-    if len(rhs) != m.nrows:
-        raise ValueError("right-hand side length mismatch")
-    aug = Mat.from_rows([list(r) + [b] for r, b in zip(m.rows, rhs)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [0] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][m.ncols]
-    return tuple(x)
-
-
-def mat_inv(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    if m.nrows != m.ncols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.nrows
-    aug = Mat.from_rows([list(r) + [1 if i == j else 0 for j in range(n)]
-                         for i, r in enumerate(m.rows)])
-    red, pivots = rref(aug)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return Mat(tuple(r[n:] for r in red.rows))

@@ -64,37 +64,15 @@ _REPS = tuple(p.rep for p in PLANE.points)
 _POINT_OF = {vec_scale(c, v): i for i, v in enumerate(_REPS) for c in (1, 2)}
 
 
-@lru_cache(maxsize=1)
-def _matrices() -> tuple[Matrix3, ...]:
-    """All 5616 canonical matrices in row-major order: a canonical first
-    row, then each row off the span of the rows above: r2 has a nonzero
-    cross product n with r1, and r3 a nonzero dot product with n."""
-    vecs = list(product(range(MOD), repeat=3))
-    off = {n: [v for v in vecs if dot(n, v)] for n in vecs}
-    out = []
-    for r1 in sorted(_REPS, key=lambda v: (v.index(1), v)):
-        a, b, c = r1
-        for r2 in vecs:
-            d, e, f = r2
-            n = ((b * f - c * e) % MOD, (c * d - a * f) % MOD, (a * e - b * d) % MOD)
-            out.extend((r1, r2, r3) for r3 in off[n])
-    return tuple(out)
-
-
-def all_collineations() -> tuple[Collineation, ...]:
-    """All 5616 collineations, in row-major order of canonical matrices."""
-    return tuple(map(Collineation, _matrices()))
-
-
 def _order(mx: Matrix3) -> tuple:
-    # _matrices order: leading zeros of the (canonical) first row, then the entries
+    # row-major order: leading zeros of the (canonical) first row, then the entries
     return mx[0].index(1), mx
 
 
 def _fixing(n: Sequence[int]) -> list[Matrix3]:
     """The canonical matrices with rows r1, r2, r3 such that (r1.n, r2.n,
     r3.n) is n or 2n, that is, mapping the column vector n to a multiple
-    of itself, in the order of _matrices: 432 for a nonzero n."""
+    of itself, in row-major order (_order): 432 for a nonzero n."""
     by_dot = {c: [v for v in product(range(MOD), repeat=3) if dot(v, n) == c] for c in range(MOD)}
     out = []
     for k in (1, 2):
@@ -108,9 +86,9 @@ def _fixing(n: Sequence[int]) -> list[Matrix3]:
 
 
 def stabilizer_of(p: ProjPoint) -> tuple[Collineation, ...]:
-    """All collineations fixing the given point, in the order of
-    all_collineations: the transposes of the matrices fixing p.rep as a
-    column vector, re-canonicalised."""
+    """All collineations fixing the given point, in row-major order of
+    their canonical matrices: the transposes of the matrices fixing p.rep
+    as a column vector, re-canonicalised."""
     out = []
     for mx in _fixing(p.rep):
         tr = tuple(zip(*mx))
@@ -290,12 +268,6 @@ def _running_orders(generators: Sequence[Perm]) -> Iterator[int]:
             i = found[1]
 
 
-def group_order(generators: Sequence[Perm]) -> int:
-    """Order of the group the permutations generate, by a deterministic
-    Schreier-Sims: the last, and largest, of its running products."""
-    return max(_running_orders(generators), default=1)
-
-
 class GroupSummary(Record):
     order: int
     generators: tuple[Perm, ...]
@@ -330,20 +302,21 @@ def elliptic_involution(g: ProjLine, x: ProjPoint, u: ProjPoint) -> dict[int, in
     return {x.index: u.index, u.index: x.index, y: z, z: y}
 
 
-def _residue(g: ProjLine) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-    """The 12 cut lines of g in local positions 0..8, and their
-    completion table: the third point of the cut line through two."""
+@lru_cache(maxsize=13)
+def _residue(g: ProjLine) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], dict[int, int]]:
+    """g's 9 off-line points, its 12 cut lines in their positions 0..8,
+    and their completion table: the third point of the cut line through two."""
     residue = affine_residue(PLANE, g)
     pos = {p: i for i, p in enumerate(residue.points)}
-    lines = [tuple(pos[x] for x in ln) for ln in residue.blocks]
-    return lines, completion_table(lines, 9, 2)
+    lines = tuple(tuple(pos[x] for x in ln) for ln in residue.blocks)
+    return residue.points, lines, completion_table(lines, 9, 2)
 
 
 def affinities(g: ProjLine) -> tuple[Perm, ...]:
     """All permutations of the 9 off-line points preserving the 12 cut
     lines, sorted: the engine's completions of the empty frame, which
     branch over the images of three non-collinear points (9*8*6)."""
-    lines, table = _residue(g)
+    _, lines, table = _residue(g)
     return tuple(sorted(complete_maps(table, lines, (), [()])))
 
 
@@ -357,7 +330,7 @@ def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
     No two may share a restriction, so each affinity has at most one
     extension to a collineation.
     """
-    pts = affine_residue(PLANE, g).points
+    pts = _residue(g)[0]
     pos = [pts.index(p) if p in pts else -1 for p in range(13)]
     fixing = [Collineation(mx) for mx in _fixing(g.dual)]
     at_pts = itemgetter(*pts)
@@ -375,8 +348,7 @@ def _extensions(
     """For each affinity of g's residue: the collineation kappa extending
     it, kappa's point map, and the automorphism sending the first five
     affine points to their images, or None unless it agrees on all nine."""
-    pts = affine_residue(PLANE, g).points
-    wpos = tuple(m.w_position[p] for p in pts)
+    wpos = tuple(m.w_position[p] for p in _residue(g)[0])
     at_wpos = itemgetter(*wpos)
     table = _line_collineations(g)
     chain = _chain(m)
@@ -402,7 +374,7 @@ def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineatio
         raise ValueError("the line must pass through U")
     if sorted(alpha) != list(range(9)):
         raise ValueError("alpha must be a permutation of 0..8")
-    lines, table = _residue(g)
+    _, lines, table = _residue(g)
     if any(table[1 << alpha[x] | 1 << alpha[y]] != alpha[z] for x, y, z in lines):
         raise ValueError("alpha does not preserve the cut lines")
     ((kappa, _, beta),) = _extensions(m, g, [alpha])

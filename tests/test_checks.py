@@ -14,6 +14,7 @@ a cut line.
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +34,7 @@ from witt12.checks import (
 from witt12.design import LinePairMinusU, SymmetricDifference, as_incidence_structure, construct
 from witt12.designfile import ClassRecord
 from witt12.gf3 import Mat
-from witt12.plane import PLANE
+from witt12.plane import PLANE, ProjLine
 from witt12.quadrics import QuadraticForm, canonical_table
 
 
@@ -159,6 +160,18 @@ def test_triple_derivation_equals_affine_residue(model, witt, lines_through_u):
         assert d.blocks == r.blocks
 
 
+def test_a_line_meeting_g_twice_breaks_the_residue():
+    # a copied plane whose line #1 trades one point off g = #0 for a
+    # second point of g: its cut keeps two points
+    g, ln = PLANE.lines[0], PLANE.lines[1]
+    out = next(x for x in ln.points if x not in g.points)
+    into = next(x for x in g.points if x not in ln.points)
+    edited = ProjLine(ln.index, ln.dual, tuple(sorted(set(ln.points) - {out} | {into})))
+    plane = SimpleNamespace(points=PLANE.points, lines=(g, edited, *PLANE.lines[2:]))
+    with pytest.raises(InvariantError, match="^a line does not meet g in exactly one point$"):
+        affine_residue(plane, g)
+
+
 # ------------------------------------------------------- Steiner-system engine
 
 
@@ -268,7 +281,9 @@ def test_construct_rejects_a_repeated_or_missing_block(monkeypatch, name, messag
     [("repeated", "^a 2-set inside two blocks$"), ("dropped", "^a 2-set of the 9 points is uncovered$")],
 )
 def test_residue_table_rejects_a_repeated_or_missing_line(monkeypatch, name, message):
-    # affinities reads the residue's third-point table from completion_table
+    # affinities reads the residue's third-point table from completion_table,
+    # built once per line: clear the cache so that line #3's is built here
+    symmetry._residue.cache_clear()
     monkeypatch.setattr(symmetry, "completion_table", lambda b, v, t: completion_table(fault(name, b), v, t))
     with pytest.raises(InvariantError, match=message):
         symmetry.affinities(PLANE.lines[3])

@@ -24,14 +24,12 @@ from witt12.design import (
     SymmetricDifference,
     block_of_form,
     block_through,
-    classify_block,
     construct,
     rederive_block,
     solve_block_through,
 )
 from witt12.plane import PLANE
 from witt12.quadrics import QuadraticForm, form_pair_representatives
-from witt12.symmetry import all_collineations
 
 EXPECTED_CENSUS = {
     ConicExterior: 54,
@@ -91,6 +89,11 @@ def test_every_witness_rederives_its_block(model):
         assert rederive_block(cls_, model.u) == b
 
 
+def classify_block(m, b):
+    """The class the model records for a block, by its position."""
+    return m.classes[m.block_position[b]]
+
+
 def test_classify_frozen_examples(model):
     c = classify_block(model, (2, 3, 5, 6, 7, 10))
     assert isinstance(c, ConicExterior)
@@ -103,14 +106,6 @@ def test_classify_frozen_examples(model):
     lp = classify_block(model, (2, 3, 8, 9, 11, 12))
     assert isinstance(lp, LinePairMinusU)
     assert tuple(ln.dual for ln in lp.lines) == ((0, 1, 1), (0, 1, 2))
-
-
-def test_classify_rejects_non_blocks(model):
-    # (0,1,2,3,5) extends uniquely to a block, and not by the point 7
-    b = block_through(model, (0, 1, 2, 3, 5))
-    assert 7 not in b
-    with pytest.raises(ValueError):
-        classify_block(model, (0, 1, 2, 3, 5, 7))
 
 
 def test_rederive_rejects_corrupt_witnesses(model):
@@ -170,6 +165,25 @@ def test_broken_certificate_raises_under_optimize():
     assert p.stderr.strip().splitlines()[-1].startswith("witt12.checks.InvariantError: case A")
 
 
+@pytest.mark.parametrize(
+    "name, fake, five, message",
+    [
+        ("det", lambda real: lambda m: 1, (2, 3, 8, 9, 11), "case B certificate fails"),
+        ("null_space", lambda real: lambda m: real(m) * 2, (2, 3, 5, 6, 7), "case A kernel of dimension 2"),
+        ("block_of_form", lambda real: lambda q, u: None, (2, 3, 5, 6, 7), "block misses a point"),
+    ],
+    ids=["det", "null_space", "block_of_form"],
+)
+def test_a_broken_solver_step_fails_its_certificate(monkeypatch, name, fake, five, message):
+    # the solver reads det, null_space and block_of_form as globals of
+    # design, so each patch reaches only the solver: a case B five-set
+    # with a nonzero determinant, a case A one with every kernel vector
+    # doubled, and a form whose points are no block
+    monkeypatch.setattr(design, name, fake(getattr(design, name)))
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        solve_block_through(five)
+
+
 def test_solver_agrees_with_lookup_everywhere(model):
     for five in itertools.combinations(model.w, 5):
         sol = solve_block_through(five, model.u)
@@ -216,15 +230,13 @@ def test_solver_against_brute_force_enumeration(model):
         assert sol.form.coeffs in ref
 
 
-def test_alternate_removed_point_gives_isomorphic_design(model):
+def test_alternate_removed_point_gives_isomorphic_design(model, collineations):
     other = construct(PLANE.points[0])
     assert other.u.index == 0
     assert len(other.blocks) == 132
     assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
     assert other.blocks != model.blocks
-    carrier = next(
-        c for c in all_collineations() if c.point_map()[model.u.index] == 0
-    )
+    carrier = next(c for c in collineations if c.point_map()[model.u.index] == 0)
     pm = carrier.point_map()
     mapped = {tuple(sorted(pm[x] for x in b)) for b in model.blocks}
     assert mapped == set(other.blocks)

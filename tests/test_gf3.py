@@ -1,9 +1,10 @@
 """Field and linear algebra tests.
 
 The matrix routines back every geometric computation, so they get the
-heaviest property coverage: rank-nullity, null space exactness,
-determinant multiplicativity, and solve/inverse consistency, each
-against hand-rolled checks rather than the code under test.
+heaviest property coverage: rank-nullity (the rank is the pivot count
+of rref), null space exactness, and the determinant's multiplicativity
+and agreement with the Leibniz expansion, each against hand-rolled
+checks rather than the code under test.
 """
 
 import itertools
@@ -89,7 +90,7 @@ def test_rref_shape(m):
 def test_rank_nullity(nr, nc, data):
     m = data.draw(matrices(nr, nc))
     basis = gf3.null_space(m)
-    assert gf3.rank(m) + len(basis) == nc
+    assert len(gf3.rref(m)[1]) + len(basis) == nc
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
@@ -144,7 +145,7 @@ def test_det_multiplicative(a, b):
 
 @given(square_matrices(3))
 def test_det_detects_rank(m):
-    assert (gf3.det(m) != 0) == (gf3.rank(m) == 3)
+    assert (gf3.det(m) != 0) == (len(gf3.rref(m)[1]) == 3)
 
 
 def _leibniz(m):
@@ -162,53 +163,3 @@ def _leibniz(m):
 def test_det_against_leibniz(n, data):
     m = data.draw(square_matrices(n))
     assert gf3.det(m) == _leibniz(m)
-
-
-def _brute_solvable(m, b):
-    return any(
-        all(gf3.dot(row, v) == t for row, t in zip(m.rows, b))
-        for v in itertools.product(range(3), repeat=m.ncols)
-    )
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_solve_against_enumeration(nr, nc, data):
-    m = data.draw(matrices(nr, nc))
-    b = tuple(data.draw(residues()) for _ in range(nr))
-    x = gf3.solve(m, b)
-    if x is None:
-        assert not _brute_solvable(m, b)
-    else:
-        assert all(gf3.dot(row, x) == t for row, t in zip(m.rows, b))
-
-
-@given(square_matrices(3))
-def test_mat_inv(m):
-    if gf3.det(m) == 0:
-        with pytest.raises(ValueError):
-            gf3.mat_inv(m)
-    else:
-        assert _mat_mul(m, gf3.mat_inv(m)) == _identity(3)
-        assert _mat_mul(gf3.mat_inv(m), m) == _identity(3)
-
-
-def test_mat_inv_past_augmentation_cap():
-    # a 5x5 inverse goes through one 5x10 augmented matrix, wider than any
-    # system the construction itself eliminates
-    rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-    rows[0][4] = 2
-    rows[3][1] = 1
-    m = Mat.from_rows(rows)
-    assert _mat_mul(m, gf3.mat_inv(m)) == _identity(5)
-
-
-@given(st.integers(4, 6), st.data())
-def test_mat_inv_round_trip(n, data):
-    m = data.draw(square_matrices(n))
-    if gf3.rank(m) < n:
-        with pytest.raises(ValueError):
-            gf3.mat_inv(m)
-    else:
-        inverse = gf3.mat_inv(m)
-        assert _mat_mul(m, inverse) == _identity(n)
-        assert _mat_mul(inverse, m) == _identity(n)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import witt12
-from witt12 import design, gf3
+from witt12 import design, gf3, plane
+from witt12.checks import InvariantError
 from witt12.plane import PLANE, collinear, collinear_triple_in, normalize
 
 EXPECTED_POINT_ORDER = (
@@ -174,3 +175,26 @@ def test_four_point_arcs_exist():
     quad = (p[0], p[1], p[4], p[8])
     for t in itertools.combinations(quad, 3):
         assert not collinear(*t)
+
+
+# ------------------------------------------------------------ fault injection
+
+
+def test_a_missing_point_raises(monkeypatch):
+    triples = plane._canonical_triples
+    monkeypatch.setattr(plane, "_canonical_triples", lambda: triples()[1:])
+    with pytest.raises(InvariantError, match="^wrong number of points$"):
+        plane.PlaneModel()
+
+
+def test_a_line_of_every_point_raises(monkeypatch):
+    # every dot product zero: each line would hold all 13 points
+    monkeypatch.setattr(plane, "dot", lambda u, v: 0)
+    with pytest.raises(InvariantError, match="^a line without four points$"):
+        plane.PlaneModel()
+
+
+def test_five_points_without_a_collinear_triple_raise(monkeypatch):
+    monkeypatch.setattr(plane, "collinear", lambda p, q, r: False)
+    with pytest.raises(InvariantError, match="^five points with no collinear triple: invariant broken$"):
+        collinear_triple_in(PLANE.points[:5])

@@ -7,11 +7,14 @@ for the size-4 cases) and must agree on all 728 nonzero forms.
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from witt12.plane import PLANE, collinear
+from witt12 import quadrics
+from witt12.checks import InvariantError
+from witt12.plane import PLANE, ProjLine, collinear
 from witt12.quadrics import (
     QuadraticForm,
     QuadricType,
@@ -224,3 +227,35 @@ def test_point_values_is_evaluate_at_every_point():
         assert point_values(q.coeffs) == tuple(evaluate(q, p) for p in PLANE.points)
     with pytest.raises(ValueError):
         point_values((0,) * 6)
+
+
+# ------------------------------------------------------------ fault injection
+
+
+def test_an_unexpected_signature_raises(monkeypatch):
+    monkeypatch.setattr(quadrics, "signature", lambda q: (0, 0, 13))
+    with pytest.raises(InvariantError, match=r"^unexpected level-set signature \(0, 0, 13\)$"):
+        classify(QuadraticForm.of(1, 0, 0, 1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [("dropped", "a conic needs four tangents"), ("moved", "wrong external/internal split")],
+)
+def test_a_tampered_tangent_breaks_the_conic_geometry(monkeypatch, change, message):
+    # quadrics.PLANE replaced by the plane's points and its lines with one
+    # tangent dropped, or with one external point of the tangent traded
+    # for an internal one: that tangent still meets the conic once, the
+    # traded point stays on another tangent, so 7 points are external
+    q = QuadraticForm.of(1, 0, 0, 1, 0, 1)
+    geo = conic_geometry(q)
+    t = geo.tangents[0]
+    if change == "dropped":
+        lines = tuple(ln for ln in PLANE.lines if ln != t)
+    else:
+        out = next(p.index for p in geo.external if p.index in t.points)
+        edited = ProjLine(t.index, t.dual, tuple(sorted(set(t.points) - {out} | {geo.internal[0].index})))
+        lines = tuple(edited if ln == t else ln for ln in PLANE.lines)
+    monkeypatch.setattr(quadrics, "PLANE", SimpleNamespace(points=PLANE.points, lines=lines))
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        conic_geometry(q)

@@ -1,6 +1,7 @@
 """Tests of scripts/same_outputs.py that run no command."""
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -12,15 +13,27 @@ _spec.loader.exec_module(same_outputs)
 
 def test_command_list_covers_every_u_and_every_line_pair_in_both_formats():
     cmds = same_outputs.commands()
-    assert len(cmds) == len({tuple(c) for c in cmds}) == 364
+    assert len(cmds) == len({tuple(c) for c in cmds}) == 478
     assert Counter(c[0] for c in cmds) == {
-        "aut": 26, "construct": 26, "classify": 26, "block": 78, "remark3": 104, "derive": 104,
+        "table": 2, "aut": 26, "construct": 28, "classify": 26, "verify": 30, "block": 156,
+        "remark3": 106, "derive": 104,
     }
-    assert Counter(c[c.index("--format") + 1] for c in cmds) == {"table": 182, "structured": 182}
-    assert all("--out" in c for c in cmds if c[0] == "construct")
+    assert Counter(c[c.index("--format") + 1] for c in cmds) == {"table": 239, "structured": 239}
     assert all("--witnesses" in c for c in cmds if c[0] == "classify")
-    # five distinct points of W through the lookup, three five-sets at each U
+    # five distinct points of W by both methods, three five-sets at each U
     blocks = [c for c in cmds if c[0] == "block"]
-    assert all(c[8:10] == ["--method", "lookup"] and len(set(c[1:6]) | {c[7]}) == 6 for c in blocks)
-    pairs = {(c[2], c[4]) for c in cmds if c[0] in ("remark3", "derive")}
+    assert all(len(set(c[1:6]) | {c[7]}) == 6 for c in blocks)
+    assert Counter(c[9] for c in blocks if c[8] == "--method") == {"lookup": 78, "solve": 78}
+    pairs = {(c[2], c[4]) for c in cmds if c[0] == "derive"}
     assert len(pairs) == 52 and Counter(u for u, _ in pairs) == {f"#{u}": 4 for u in range(13)}
+    # the canonical file of every U, one tampered file and one missing
+    files = Counter(c[-1] for c in cmds if c[0] == "verify")
+    assert files == {**{f"design-{u}.json": 2 for u in range(13)}, "tampered-4.json": 2, "missing.json": 2}
+    # every construct writes its file, but the one with U = #13, which exits 2
+    assert [c[2] for c in cmds if c[0] == "construct" and "--out" not in c] == ["#13", "#13"]
+
+
+def test_tamper_replaces_one_point_of_the_first_block():
+    doc = {"u": 4, "blocks": [[0, 1, 2, 3, 5, 6], [0, 1, 2, 3, 7, 8]]}
+    tampered = json.loads(same_outputs.tamper(json.dumps(doc)))
+    assert tampered == {"u": 4, "blocks": [[0, 1, 2, 3, 5, 7], [0, 1, 2, 3, 7, 8]]}

@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from witt12 import gf3, symmetry
+from witt12 import symmetry
 from witt12.checks import InvariantError
 from witt12.design import construct
-from witt12.gf3 import Mat
 from witt12.plane import PLANE, collinear
 from witt12.symmetry import (
     Collineation,
@@ -32,7 +31,6 @@ from witt12.symmetry import (
     elliptic_involution,
     extend_affinity,
     group_closure,
-    group_order,
     identity_perm,
     induced_permutation,
     invert_perm,
@@ -60,6 +58,12 @@ def preserves_blocks(m, perm):
     return {tuple(sorted(perm[x] for x in b)) for b in m.local_blocks} == set(m.local_blocks)
 
 
+def group_order(generators):
+    """Order of the group the permutations generate: the last, and
+    largest, of a deterministic Schreier-Sims's running products."""
+    return max(symmetry._running_orders(generators), default=1)
+
+
 # ---------------------------------------------------------------- collineations
 
 
@@ -69,20 +73,18 @@ def test_collineation_count(collineations):
 
 
 def test_collineations_are_the_nonsingular_canonical_matrices(collineations):
-    # reference: filter every canonical matrix (first nonzero entry 1, in
-    # row-major lexicographic order after its leading zeros) by gf3.det
-    reference = []
-    for k in range(9):
-        for tail in itertools.product(range(3), repeat=8 - k):
-            flat = (0,) * k + (1,) + tail
-            m = (flat[0:3], flat[3:6], flat[6:9])
-            if gf3.det(Mat(m)) != 0:
-                reference.append(m)
+    # the gf3.det filter of the fixture against a test without any
+    # elimination: a matrix is singular when some nonzero row vector maps
+    # to zero.  Canonical: the first nonzero entry is 1; the order is
+    # row-major after the leading zeros, symmetry._order
+    flat = np.array(list(itertools.product(range(3), repeat=9)), dtype=np.int64)
+    canonical = flat[flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)] == 1]
+    vecs = np.array([v for v in itertools.product(range(3), repeat=3) if any(v)], dtype=np.int64)
+    images = np.einsum("vi,mij->mvj", vecs, canonical.reshape(-1, 3, 3)) % 3
+    kept = [tuple(int(x) for x in f) for f in canonical[~(images == 0).all(axis=2).any(axis=1)]]
+    reference = [(f[0:3], f[3:6], f[6:9]) for f in sorted(kept, key=lambda f: (f.index(1), f))]
     assert [c.matrix for c in collineations] == reference
-
-
-def test_all_collineations_list_the_matrix_enumeration(collineations):
-    assert tuple(c.matrix for c in collineations) == symmetry._matrices()
+    assert sorted(reference, key=symmetry._order) == reference
 
 
 def test_point_maps_preserve_collinearity(collineations):
@@ -589,6 +591,27 @@ def fresh_line_collineations():
     symmetry._line_collineations.cache_clear()
     yield
     symmetry._line_collineations.cache_clear()
+
+
+@pytest.fixture()
+def fresh_residues():
+    symmetry._residue.cache_clear()
+    symmetry._line_collineations.cache_clear()
+    yield
+    symmetry._residue.cache_clear()
+    symmetry._line_collineations.cache_clear()
+
+
+def test_remark3_builds_each_residue_once(model, lines_through_u, monkeypatch, fresh_residues):
+    # affinities, the collineation table and the extensions all read
+    # g's one cached residue
+    calls = []
+    residue = symmetry.affine_residue
+    monkeypatch.setattr(symmetry, "affine_residue", lambda plane, g: calls.append(g.index) or residue(plane, g))
+    g = lines_through_u[1]
+    assert verify_extension_formula(model, g).failures == ()
+    assert extend_affinity(model, g, identity_perm(9))[1] == identity_perm()
+    assert calls == [g.index]
 
 
 @pytest.mark.parametrize("change", ["drop", "repeat"])
