@@ -51,12 +51,10 @@ from .quadrics import (
     level_set,
 )
 from .symmetry import (
-    Collineation,
     GroupSummary,
     affinities,
     all_automorphisms,
     automorphism_group,
-    complete_automorphisms,
     extend_affinity,
     induced_permutation,
     stabilizer_of,
@@ -67,7 +65,6 @@ __all__ = [
     "PLANE",
     "Block",
     "BlockSolution",
-    "Collineation",
     "ConicExterior",
     "ConicGeometry",
     "DesignDocument",
@@ -94,7 +91,6 @@ __all__ = [
     "canonical_table",
     "classify",
     "collinear_triple_in",
-    "complete_automorphisms",
     "conic_geometry",
     "construct",
     "derived_design",

@@ -171,8 +171,6 @@ def verify_t_design(s: IncidenceStructure, t: int) -> VerifyResult:
             lam = c
         elif c != lam:
             return DesignViolation("coverage", sub, c, lam)
-    # blocks exist, so some t-subset is covered once t <= k
-    require(lam, "zero coverage with nonempty blocks")
     return DesignParams(t, len(s.points), k, lam)
 
 

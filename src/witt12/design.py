@@ -60,7 +60,6 @@ class WittModel(Record):
     w_position: dict[int, int]
     blocks: tuple[Block, ...]
     classes: tuple[BlockClass, ...]
-    block_position: dict[Block, int]
     sixth: dict[int, int]  # five W positions as a bitmask -> the sixth point of their block
     local_blocks: tuple[tuple[int, ...], ...]
 
@@ -146,7 +145,6 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
         w_position=w_position,
         blocks=blocks,
         classes=classes,
-        block_position={b: i for i, b in enumerate(blocks)},
         sixth=completion_table(local_blocks, 12, 5),
         local_blocks=local_blocks,
     )

@@ -18,22 +18,6 @@ MOD = 3
 Vec = tuple[int, ...]
 
 
-def inv(x: int) -> int:
-    """Multiplicative inverse of a nonzero scalar; 1 and 2 are self-inverse."""
-    r = x % MOD
-    if r == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(3)")
-    return r
-
-
-def vec(values: Iterable[int]) -> Vec:
-    return tuple(x % MOD for x in values)
-
-
-def vec_scale(c: int, v: Sequence[int]) -> Vec:
-    return tuple((c * x) % MOD for x in v)
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
@@ -56,7 +40,7 @@ class Mat(Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Mat":
-        return cls(tuple(vec(r) for r in rows))
+        return cls(tuple(tuple(x % MOD for x in r) for r in rows))
 
     @property
     def nrows(self) -> int:
@@ -83,9 +67,9 @@ def _eliminate(m: Mat) -> tuple[tuple[Vec, ...], tuple[int, ...], int]:
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             d = -d
-        d = (d * rows[r][c]) % MOD
-        pinv = inv(rows[r][c])
-        rows[r] = [(pinv * x) % MOD for x in rows[r]]
+        piv = rows[r][c]  # 1 or 2, each its own inverse
+        d = (d * piv) % MOD
+        rows[r] = [(piv * x) % MOD for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c]:
                 f = rows[i][c]

@@ -43,24 +43,15 @@ class QuadraticForm(Record):
         return ",".join(str(c) for c in self.coeffs)
 
 
-def evaluate_vec(q: QuadraticForm, v: Sequence[int]) -> int:
-    x0, x1, x2 = v
-    a00, a01, a02, a11, a12, a22 = q.coeffs
-    return (
-        a00 * x0 * x0 + a01 * x0 * x1 + a02 * x0 * x2
-        + a11 * x1 * x1 + a12 * x1 * x2 + a22 * x2 * x2
-    ) % MOD
-
-
-def evaluate(q: QuadraticForm, p: ProjPoint) -> int:
-    return evaluate_vec(q, p.rep)
-
-
 # the monomials x0^2, x0x1, x0x2, x1^2, x1x2, x2^2 at each point, reduced,
 # in coefficient order: q(p) is the dot product of p's row with q
 MONOMIALS = tuple(
     tuple(m % MOD for m in (x * x, x * y, x * z, y * y, y * z, z * z)) for x, y, z in (p.rep for p in PLANE.points)
 )
+
+
+def evaluate(q: QuadraticForm, p: ProjPoint) -> int:
+    return sum(a * m for a, m in zip(q.coeffs, MONOMIALS[p.index])) % MOD
 
 
 def point_values(coeffs: Sequence[int]) -> tuple[int, ...]:

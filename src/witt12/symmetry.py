@@ -2,13 +2,13 @@
 
 Collineations are invertible 3x3 matrices over GF(3) modulo scalars
 (the field is prime, so there is nothing semilinear to add), acting on
-row vectors.  Canonical representative: first nonzero entry 1 in
-row-major order.  The collineations fixing a point or a line are
-enumerated directly (_fixing), 432 each, never filtered out of all
-5616: the stabilizer of U, and the collineations fixing a line g, among
-which the kappa extending an affinity of g's residue (Remark 3) is the
-only one with the affinity's restriction; that uniqueness is checked on
-every run.
+row vectors.  A collineation is held as its canonical matrix, the one
+whose first nonzero entry in row-major order is 1.  The collineations
+fixing a point or a line are enumerated directly (_fixing), 432 each,
+never filtered out of all 5616: the stabilizer of U, and the
+collineations fixing a line g, among which the kappa extending an
+affinity of g's residue (Remark 3) is the only one with the affinity's
+restriction; that uniqueness is checked on every run.
 
 The design S(5,6,12) and each line's affine residue AG(2,3), an
 S(2,3,9), are Steiner systems with one block over each t-set, and both
@@ -34,11 +34,11 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .checks import InvariantError, Record, affine_residue, complete_maps, completion_table, require
 from .design import WittModel
-from .gf3 import MOD, dot, vec_scale
+from .gf3 import MOD, dot
 from .plane import PLANE, ProjLine, ProjPoint
 
 Perm = tuple[int, ...]
@@ -46,22 +46,17 @@ Perm = tuple[int, ...]
 Matrix3 = tuple[tuple[int, int, int], ...]
 
 
-class Collineation(Record):
-    """Invertible matrix mod scalars; first nonzero entry is 1."""
-
-    matrix: Matrix3
-
-    def point_map(self) -> tuple[int, ...]:
-        """Images of all 13 points, by index, read off all 26 nonzero vectors."""
-        (a, b, c), (d, e, f), (g, h, i) = self.matrix
-        return tuple(
-            _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
-            for x, y, z in _REPS
-        )
-
-
 _REPS = tuple(p.rep for p in PLANE.points)
-_POINT_OF = {vec_scale(c, v): i for i, v in enumerate(_REPS) for c in (1, 2)}
+_POINT_OF = {tuple(c * x % MOD for x in v): i for i, v in enumerate(_REPS) for c in (1, 2)}
+
+
+def point_map(mx: Matrix3) -> tuple[int, ...]:
+    """Images of all 13 points, by index, read off all 26 nonzero vectors."""
+    (a, b, c), (d, e, f), (g, h, i) = mx
+    return tuple(
+        _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
+        for x, y, z in _REPS
+    )
 
 
 def _order(mx: Matrix3) -> tuple:
@@ -72,7 +67,7 @@ def _order(mx: Matrix3) -> tuple:
 def _fixing(n: Sequence[int]) -> list[Matrix3]:
     """The canonical matrices with rows r1, r2, r3 such that (r1.n, r2.n,
     r3.n) is n or 2n, that is, mapping the column vector n to a multiple
-    of itself, in row-major order (_order): 432 for a nonzero n."""
+    of itself: 432 for a nonzero n."""
     by_dot = {c: [v for v in product(range(MOD), repeat=3) if dot(v, n) == c] for c in range(MOD)}
     out = []
     for k in (1, 2):
@@ -82,24 +77,24 @@ def _fixing(n: Sequence[int]) -> list[Matrix3]:
             (a, b, c), (d, e, f), (g, h, i) = mx
             if (a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)) % MOD:  # nonsingular
                 out.append(mx)
-    return sorted(out, key=_order)
+    return out
 
 
-def stabilizer_of(p: ProjPoint) -> tuple[Collineation, ...]:
-    """All collineations fixing the given point, in row-major order of
-    their canonical matrices: the transposes of the matrices fixing p.rep
-    as a column vector, re-canonicalised."""
+def stabilizer_of(p: ProjPoint) -> tuple[Matrix3, ...]:
+    """The canonical matrices of all collineations fixing the given
+    point, in row-major order: the transposes of the matrices fixing
+    p.rep as a column vector, re-canonicalised."""
     out = []
     for mx in _fixing(p.rep):
         tr = tuple(zip(*mx))
         lead = tr[0][0] or tr[0][1] or tr[0][2]  # first nonzero entry
         out.append(tr if lead == 1 else tuple(tuple(2 * x % MOD for x in r) for r in tr))
-    return tuple(map(Collineation, sorted(out, key=_order)))
+    return tuple(sorted(out, key=_order))
 
 
-def induced_permutation(m: WittModel, c: Collineation) -> Perm:
+def induced_permutation(m: WittModel, mx: Matrix3) -> Perm:
     """Restriction of a U-fixing collineation to W, in local coordinates."""
-    pm = c.point_map()
+    pm = point_map(mx)
     if pm[m.u.index] != m.u.index:
         raise ValueError("collineation does not fix U")
     return tuple(m.w_position[pm[i]] for i in m.w)
@@ -122,21 +117,6 @@ def invert_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def complete_automorphisms(
-    m: WittModel, frame: Sequence[int], images: Iterable[Sequence[int]]
-) -> list[Perm]:
-    """Every automorphism sending the frame to one row of images.
-
-    frame and each row of images hold five distinct W-positions.  This
-    is checks.complete_maps on the sixth-point table: exhaustive, and
-    the rows it returns follow the order of the image rows they extend.
-    """
-    frame = tuple(frame)
-    if len(frame) != 5 or len(set(frame) & set(range(12))) != 5:
-        raise ValueError("the frame must be five distinct points of W")
-    return complete_maps(m.sixth, m.local_blocks, frame, images)
-
-
 @lru_cache(maxsize=13)
 def _chain(m: WittModel) -> tuple[tuple[Perm, ...], ...]:
     """Stabilizer chain of positions 0..4, certified by the forcing engine.
@@ -153,7 +133,7 @@ def _chain(m: WittModel) -> tuple[tuple[Perm, ...], ...]:
         for i in range(5)
     ]
     rows = list(dict.fromkeys(r for level in wanted for r in level))
-    completed = complete_automorphisms(m, range(5), rows)
+    completed = complete_maps(m.sixth, m.local_blocks, range(5), rows)
     if [p[:5] for p in completed] != rows:
         raise InvariantError("a chain frame does not complete to exactly one automorphism")
     by_images = dict(zip(rows, completed))
@@ -321,7 +301,7 @@ def affinities(g: ProjLine) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=13)
-def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
+def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Matrix3, Perm]]:
     """The collineations fixing g, keyed by their restriction to g's
     affine residue (positions 0..8, as in affinities), with point maps.
 
@@ -332,19 +312,19 @@ def _line_collineations(g: ProjLine) -> dict[Perm, tuple[Collineation, Perm]]:
     """
     pts = _residue(g)[0]
     pos = [pts.index(p) if p in pts else -1 for p in range(13)]
-    fixing = [Collineation(mx) for mx in _fixing(g.dual)]
+    fixing = _fixing(g.dual)
     at_pts = itemgetter(*pts)
     table = {}
-    for c in fixing:
-        pm = c.point_map()
-        table[itemgetter(*at_pts(pm))(pos)] = (c, pm)
+    for mx in fixing:
+        pm = point_map(mx)
+        table[itemgetter(*at_pts(pm))(pos)] = (mx, pm)
     require(len(table) == len(fixing), "two collineations restrict to one affinity")
     return table
 
 
 def _extensions(
     m: WittModel, g: ProjLine, alphas: Sequence[Perm]
-) -> list[tuple[Collineation, Perm, Perm | None]]:
+) -> list[tuple[Matrix3, Perm, Perm | None]]:
     """For each affinity of g's residue: the collineation kappa extending
     it, kappa's point map, and the automorphism sending the first five
     affine points to their images, or None unless it agrees on all nine."""
@@ -363,8 +343,9 @@ def _extensions(
     return out
 
 
-def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Collineation, Perm]:
-    """The unique collineation and design automorphism extending an affinity.
+def extend_affinity(m: WittModel, g: ProjLine, alpha: Perm) -> tuple[Matrix3, Perm]:
+    """The canonical matrix of the unique collineation extending an
+    affinity, and the design automorphism extending it.
 
     alpha maps positions 0..8 of the off-line points (ascending plane
     index) to positions.  Raises ValueError when alpha does not preserve

@@ -13,12 +13,7 @@ import pytest
 from witt12 import gf3
 from witt12.design import construct
 from witt12.plane import PLANE
-from witt12.symmetry import (
-    Collineation,
-    all_automorphisms,
-    automorphism_group,
-    stabilizer_of,
-)
+from witt12.symmetry import all_automorphisms, automorphism_group, stabilizer_of
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +42,7 @@ def collineations():
             flat = (0,) * k + (1,) + tail
             m = (flat[0:3], flat[3:6], flat[6:9])
             if gf3.det(gf3.Mat(m)) != 0:
-                out.append(Collineation(m))
+                out.append(m)
     return tuple(out)
 
 

@@ -225,7 +225,7 @@ def test_a_schedule_that_checks_a_block_twice_or_never_raises(monkeypatch, model
 
     monkeypatch.setattr(checks, "_schedule", faulty)
     with pytest.raises(InvariantError, match="^the schedule checks a block twice or never$"):
-        symmetry.complete_automorphisms(model, range(5), [range(5)])
+        symmetry.complete_maps(model.sixth, model.local_blocks, range(5), [range(5)])
 
 
 def test_completion_tables_of_both_systems(model):

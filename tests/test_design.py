@@ -30,6 +30,7 @@ from witt12.design import (
 )
 from witt12.plane import PLANE
 from witt12.quadrics import QuadraticForm, form_pair_representatives
+from witt12.symmetry import point_map
 
 EXPECTED_CENSUS = {
     ConicExterior: 54,
@@ -91,7 +92,7 @@ def test_every_witness_rederives_its_block(model):
 
 def classify_block(m, b):
     """The class the model records for a block, by its position."""
-    return m.classes[m.block_position[b]]
+    return m.classes[m.blocks.index(b)]
 
 
 def test_classify_frozen_examples(model):
@@ -236,8 +237,8 @@ def test_alternate_removed_point_gives_isomorphic_design(model, collineations):
     assert len(other.blocks) == 132
     assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
     assert other.blocks != model.blocks
-    carrier = next(c for c in collineations if c.point_map()[model.u.index] == 0)
-    pm = carrier.point_map()
+    carrier = next(c for c in collineations if point_map(c)[model.u.index] == 0)
+    pm = point_map(carrier)
     mapped = {tuple(sorted(pm[x] for x in b)) for b in model.blocks}
     assert mapped == set(other.blocks)
 
@@ -248,8 +249,8 @@ def test_every_u_is_a_collineation_image_of_the_default(model, collineations, u)
     # collineation kappa with #4 -> U, block for block; the census and the
     # solver's case split (both certificate branches) are the same at every U
     other = construct(PLANE.points[u])
-    kappa = next(c for c in collineations if c.point_map()[model.u.index] == u)
-    pm = kappa.point_map()
+    kappa = next(c for c in collineations if point_map(c)[model.u.index] == u)
+    pm = point_map(kappa)
     assert other.blocks == tuple(sorted(tuple(sorted(pm[x] for x in b)) for b in model.blocks))
     assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
     cases = Counter()

@@ -23,7 +23,6 @@ from witt12.quadrics import (
     classify,
     conic_geometry,
     evaluate,
-    evaluate_vec,
     form_pair_representatives,
     level_set,
     point_values,
@@ -66,7 +65,7 @@ def test_evaluate_matches_reference(q):
 def test_evaluate_well_defined_on_scalar_classes(q, c):
     for p in PLANE.points:
         scaled = tuple((c * x) % 3 for x in p.rep)
-        assert evaluate_vec(q, scaled) == evaluate_vec(q, p.rep)
+        assert evaluate(q, p) == reference_evaluate(q.coeffs, scaled)
 
 
 def test_form_constructors():

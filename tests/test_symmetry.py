@@ -24,9 +24,8 @@ from witt12.checks import InvariantError
 from witt12.design import construct
 from witt12.plane import PLANE, collinear
 from witt12.symmetry import (
-    Collineation,
     affinities,
-    complete_automorphisms,
+    complete_maps,
     compose_perm,
     elliptic_involution,
     extend_affinity,
@@ -34,6 +33,7 @@ from witt12.symmetry import (
     identity_perm,
     induced_permutation,
     invert_perm,
+    point_map,
     stabilizer_of,
     verify_extension_formula,
 )
@@ -43,13 +43,13 @@ def perms_of(n):
     return st.permutations(range(n)).map(tuple)
 
 
-IDENTITY = Collineation(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def image(c, p):
-    """The image of point p under c: its row vector times c's matrix."""
+    """The image of point p under c: its row vector times the matrix c."""
     return PLANE.point_from_vec(
-        tuple(sum(x * row[j] for x, row in zip(p.rep, c.matrix)) % 3 for j in range(3))
+        tuple(sum(x * row[j] for x, row in zip(p.rep, c)) % 3 for j in range(3))
     )
 
 
@@ -69,7 +69,7 @@ def group_order(generators):
 
 def test_collineation_count(collineations):
     assert len(collineations) == 5616
-    assert len({c.matrix for c in collineations}) == 5616
+    assert len(set(collineations)) == 5616
 
 
 def test_collineations_are_the_nonsingular_canonical_matrices(collineations):
@@ -83,28 +83,28 @@ def test_collineations_are_the_nonsingular_canonical_matrices(collineations):
     images = np.einsum("vi,mij->mvj", vecs, canonical.reshape(-1, 3, 3)) % 3
     kept = [tuple(int(x) for x in f) for f in canonical[~(images == 0).all(axis=2).any(axis=1)]]
     reference = [(f[0:3], f[3:6], f[6:9]) for f in sorted(kept, key=lambda f: (f.index(1), f))]
-    assert [c.matrix for c in collineations] == reference
+    assert list(collineations) == reference
     assert sorted(reference, key=symmetry._order) == reference
 
 
 def test_point_maps_preserve_collinearity(collineations):
     rng = np.random.default_rng(7)
     for c in rng.choice(len(collineations), 40, replace=False):
-        pm = collineations[c].point_map()
+        pm = point_map(collineations[c])
         for ln in PLANE.lines:
             image = [PLANE.points[pm[i]] for i in ln.points]
             assert collinear(*image[:3]) and collinear(*image[1:])
 
 
 def test_point_maps_are_faithful(collineations):
-    maps = {c.point_map() for c in collineations}
+    maps = {point_map(c) for c in collineations}
     assert len(maps) == 5616
 
 
 def test_point_map_against_apply_vec(collineations):
     # the inline point map against a row-vector product, for every collineation
     for c in collineations:
-        assert c.point_map() == tuple(image(c, p).index for p in PLANE.points)
+        assert point_map(c) == tuple(image(c, p).index for p in PLANE.points)
 
 
 @pytest.mark.parametrize("u", range(13))
@@ -119,11 +119,13 @@ def test_stabilizer_of_u(model, u_stabilizer):
         assert image(c, model.u) == model.u
 
 
-def test_stabilizer_induces_design_automorphisms(model, u_stabilizer):
-    perms = {induced_permutation(model, c) for c in u_stabilizer}
+@pytest.mark.parametrize("u", range(13))
+def test_stabilizer_induces_design_automorphisms(u):
+    m = construct(PLANE.points[u])
+    perms = {induced_permutation(m, c) for c in stabilizer_of(PLANE.points[u])}
     assert len(perms) == 432  # faithful on W
     for p in perms:
-        assert preserves_blocks(model, p)
+        assert preserves_blocks(m, p)
 
 
 def test_induced_permutation_requires_fixing_u(model, collineations):
@@ -346,25 +348,25 @@ def test_engine_completes_a_frame_to_the_listed_automorphisms(model, autos):
     # whole-group enumeration from positions 0..4
     frame = (11, 3, 7, 0, 5)
     rows = np.asarray(autos[::997], dtype=np.int16)
-    completed = complete_automorphisms(model, frame, rows[:, list(frame)])
+    completed = complete_maps(model.sixth, model.local_blocks, frame, rows[:, list(frame)])
     assert (completed == rows).all()
 
 
 def test_engine_rejects_repeated_points(model):
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 3), [[0, 1, 2, 3, 4]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 3), [[0, 1, 2, 3, 4]])
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 3]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 3]])
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 12]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 12]])
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 4, 99), [[0, 1, 2, 3, 4]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 4, 99), [[0, 1, 2, 3, 4]])
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 4, 5), [[0, 1, 2, 3, 4]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 4, 5), [[0, 1, 2, 3, 4]])
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 4), [[0, 1, 2, 3]])
     with pytest.raises(ValueError):
-        complete_automorphisms(model, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 4, 5]])
+        complete_maps(model.sixth, model.local_blocks, (0, 1, 2, 3, 4), [[0, 1, 2, 3, 4, 5]])
 
 
 @pytest.mark.parametrize(
@@ -503,7 +505,7 @@ def test_extend_affinity_at_another_u():
     for alpha in affinities(g)[::37]:
         kappa, beta = extend_affinity(m0, g, alpha)
         assert preserves_blocks(m0, beta)
-        pm = kappa.point_map()
+        pm = point_map(kappa)
         for i, p in enumerate(pts):
             assert pm[p] == pts[alpha[i]]
             assert m0.w[beta[m0.w_position[p]]] == pts[alpha[i]]
@@ -523,16 +525,14 @@ def test_remark3_never_enumerates_the_group(model, lines_through_u, monkeypatch)
 
 def test_two_completions_of_one_image_row_raise(lines_through_u, monkeypatch):
     # a fresh model each time, so no certified chain is cached for it
-    engine = symmetry.complete_automorphisms
-    monkeypatch.setattr(
-        symmetry, "complete_automorphisms", lambda *a: [r for r in engine(*a) for _ in (0, 1)]
-    )
+    engine = symmetry.complete_maps
+    monkeypatch.setattr(symmetry, "complete_maps", lambda *a: [r for r in engine(*a) for _ in (0, 1)])
     with pytest.raises(AssertionError):
         extend_affinity(construct(), lines_through_u[0], identity_perm(9))
     with pytest.raises(AssertionError):
         symmetry.automorphism_group(construct())
     # and a frame that completes to nothing
-    monkeypatch.setattr(symmetry, "complete_automorphisms", lambda *a: engine(*a)[1:])
+    monkeypatch.setattr(symmetry, "complete_maps", lambda *a: engine(*a)[1:])
     with pytest.raises(AssertionError):
         extend_affinity(construct(), lines_through_u[0], identity_perm(9))
     with pytest.raises(AssertionError):
@@ -581,7 +581,7 @@ def test_line_collineations_are_keyed_by_every_affinity(g):
     assert set(table) == set(affinities(line))
     pts = [p.index for p in PLANE.points if p.index not in line.points]
     for alpha, (kappa, pm) in table.items():
-        assert pm == kappa.point_map()
+        assert pm == point_map(kappa)
         assert {pm[x] for x in line.points} == set(line.points)
         assert tuple(pts.index(pm[x]) for x in pts) == alpha
 
@@ -622,7 +622,7 @@ def test_a_missing_or_repeated_collineation_raises(
     # has no extension; with one repeated, kappa is no longer unique
     g = lines_through_u[0]
     full = symmetry._fixing(g.dual)
-    i, mx = next((i, mx) for i, mx in enumerate(full) if Collineation(mx) != IDENTITY)
+    i, mx = next((i, mx) for i, mx in enumerate(full) if mx != IDENTITY)
     edited = full[:i] + full[i + 1:] if change == "drop" else full + [mx]
     monkeypatch.setattr(symmetry, "_fixing", lambda n: edited)
     with pytest.raises(AssertionError):
