@@ -7,14 +7,16 @@ the sha256 of stdout (or, for ``construct --out``, of the written file):
 ``table``; ``aut``, ``construct --out``, ``classify --witnesses`` and
 ``verify`` of the canonical file at all 13 U; ``block`` by both methods
 through three five-sets of W at each U (the first five, the last five
-and every other point of W); ``verify`` of one tampered file (exit 1);
+and every other point of W); ``verify`` of one tampered file and of
+one file with a witness record that names no witness (exit 1);
 ``remark3`` and ``derive`` on all 52 (U, line through U) pairs; and
 three usage errors (exit 2): U = #13, a line not through U and a missing
-file; each in the table and the structured format.  A ``verify`` line
-reads the file that its tree's own ``construct --out`` writes; the
-tampered copy has one point of its first block replaced by the least
-point of W outside it.  Prints every difference and exits 1 if there is
-any, else 0.
+file; each in the table and the structured format: 480 command lines.
+A ``verify`` line reads the file that its tree's own ``construct --out``
+writes; the tampered copy has one point of its first block replaced by
+the least point of W outside it, and the formless copy has lost the form
+of its first conic record.  Prints every difference and exits 1 if there
+is any, else 0.
 
 Usage: python3 scripts/same_outputs.py PARENT_DIR
 """
@@ -33,8 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("table", "structured")
-# the files verify lines read: U's canonical design, or a tampered copy
-DESIGN_FILE = re.compile(r"(design|tampered)-([0-9]+)\.json")
+# the files verify lines read: U's canonical design, or a changed copy
+DESIGN_FILE = re.compile(r"(design|tampered|formless)-([0-9]+)\.json")
 
 
 def commands() -> list[list[str]]:
@@ -57,6 +59,7 @@ def commands() -> list[list[str]]:
                 for method in ("lookup", "solve"):
                     out.append(["block", *five, "--u", f"#{u}", "--method", method, "--format", fmt])
         out.append(["verify", "--format", fmt, "tampered-4.json"])
+        out.append(["verify", "--format", fmt, "formless-4.json"])
         for u, g in pairs:
             for name in ("remark3", "derive"):
                 out.append([name, "--u", f"#{u}", "--line", f"#{g}", "--format", fmt])
@@ -76,6 +79,13 @@ def tamper(text: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def lose_form(text: str) -> str:
+    """The design file with the form of its first conic record removed."""
+    doc = json.loads(text)
+    next(c for c in doc["classes"] if c["kind"] == "conic_exterior").pop("form")
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
     """(exit code, sha256 of stdout or of the --out file, stderr) of one command."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -86,8 +96,9 @@ def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
             kind, u = wanted.groups()
             design = Path(tmp, f"design-{u}.json")
             subprocess.run([*cli, "construct", "--u", f"#{u}", "--out", design], cwd=tmp, env=env, check=True)
-            if kind == "tampered":
-                Path(tmp, argv[-1]).write_text(tamper(design.read_text()))
+            if kind != "design":
+                change = tamper if kind == "tampered" else lose_form
+                Path(tmp, argv[-1]).write_text(change(design.read_text()))
         p = subprocess.run([*cli, *argv], cwd=tmp, env=env, capture_output=True)
         out = Path(tmp, "out.txt")
         data = out.read_bytes() if "--out" in argv and out.exists() else p.stdout

@@ -37,9 +37,8 @@ _setfield = object.__setattr__
 class Record:
     """Immutable value with named fields: the class annotations, in order.
 
-    Construction takes the fields positionally or by keyword; a keyword
-    left out takes the class attribute of that name as its default, and
-    a ``__post_init__`` hook runs after assignment.  Records compare and
+    Construction takes every field, positionally or by keyword, and a
+    ``__post_init__`` hook runs after assignment.  Records compare and
     hash as the tuple of their fields, and only against their own type.
     ``_fields`` names the fields; the underscore, as in a namedtuple,
     keeps it clear of them.
@@ -64,12 +63,10 @@ class Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict[str, Any]) -> tuple:
-        # positional values first, then keywords, then class-attribute defaults
-        fields, missing = cls._fields, object()
-        rest = tuple(
-            kwargs.pop(f) if f in kwargs else getattr(cls, f, missing) for f in fields[len(args):]
-        )
-        if len(args) > len(fields) or kwargs or any(v is missing for v in rest):
+        # positional values first, then keywords; a field has no default
+        fields = cls._fields
+        rest = tuple(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)
+        if len(args) + len(rest) != len(fields) or kwargs:
             names = ", ".join(fields)
             raise TypeError(f"{cls.__qualname__}({names}): an argument is missing, repeated or unknown")
         return args + rest

@@ -88,9 +88,9 @@ def cmd_verify(args: argparse.Namespace) -> Output:
         return report, [text], 1
     cascade = checks.lambda_cascade(result)
     witness_bad = []
-    for b, rec in zip(doc.blocks, doc.classes):
+    for b, obj in zip(doc.blocks, doc.classes):
         try:
-            cls_ = designfile.class_from_record(rec)
+            cls_ = designfile.class_from_record(obj)
             rederived = design.rederive_block(cls_, u)
         except ValueError as e:
             witness_bad.append((b, str(e)))
@@ -166,8 +166,8 @@ def cmd_table(args: argparse.Namespace) -> Output:
 
 def cmd_classify(args: argparse.Namespace) -> Output:
     model = design.construct(_parse_u(args.u))
-    records = [(b, designfile.class_record(c)) for b, c in zip(model.blocks, model.classes)]
-    counts = Counter(rec.kind for _, rec in records)
+    records = [(b, designfile.witness_object(c)) for b, c in zip(model.blocks, model.classes)]
+    counts = Counter(obj["kind"] for _, obj in records)
     payload: dict[str, Any] = {
         "command": "classify",
         "census": {k: counts[k] for k in sorted(counts)},
@@ -175,12 +175,10 @@ def cmd_classify(args: argparse.Namespace) -> Output:
     }
     text_lines = [f"{k}: {counts[k]}" for k in sorted(counts)] + [f"total: {len(records)}"]
     if args.witnesses:
-        payload["blocks"] = [
-            {"block": list(b), **designfile.record_object(rec)} for b, rec in records
-        ]
+        payload["blocks"] = [{"block": list(b), **obj} for b, obj in records]
         text_lines += [
-            f"  {' '.join(f'{x:2d}' for x in b)}  {rec.kind:<22} {designfile.witness_text(rec)}"
-            for b, rec in records
+            f"  {' '.join(f'{x:2d}' for x in b)}  {obj['kind']:<22} {designfile.witness_text(obj)}"
+            for b, obj in records
         ]
     return payload, text_lines, 0
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .checks import IncidenceStructure, Record, completion_table, require
+from .checks import IncidenceStructure, InvariantError, Record, completion_table, require
 from .gf3 import MOD, Mat, det, null_space
 from .plane import PLANE, ProjLine, ProjPoint
 from .quadrics import MONOMIALS, QuadraticForm, conic_geometry, evaluate, point_values, representative_coeffs
@@ -94,33 +94,33 @@ def block_of_form(q: QuadraticForm, u: ProjPoint = DEFAULT_U) -> Block | None:
 def _classify_from_form(
     u: ProjPoint, block: Block, coeffs: tuple[int, ...], values: tuple[int, ...]
 ) -> BlockClass:
-    bset = set(block)
+    """The witness of a block, read off the zero set of its form and
+    proved by re-deriving the block from it."""
     zero = {i for i, v in enumerate(values) if v == 0}
     if values[u.index] == 0:
         # U lies on the zero set, which must be a pair of lines through U
         pair = tuple(ln for ln in PLANE.lines if zero.issuperset(ln.points))
         require(len(pair) == 2, "the zero set through U is not a line pair")
-        union = set(pair[0].points) | set(pair[1].points)
-        require(union == bset | {u.index}, "the line pair is not the block plus U")
-        return LinePairMinusU(pair)
-    if len(zero) == 4:
-        q = QuadraticForm(coeffs)  # type: ignore[arg-type]
-        geo = conic_geometry(q)
-        require(u in geo.internal, "U is not internal to the conic")
-        require({p.index for p in geo.external} == bset, "block is not the exterior")
-        return ConicExterior(q)
-    require(len(zero) == 1, f"zero set of size {len(zero)}")
-    (center,) = zero
-    pair = tuple(
-        ln
-        for ln in PLANE.lines_through(PLANE.points[center])
-        if len(bset.intersection(ln.points)) == 3
-    )
-    require(len(pair) == 2, "no line pair through the centre")
-    first, second = set(pair[0].points), set(pair[1].points)
-    require(first ^ second == bset, "block is not the symmetric difference")
-    require(u.index not in first | second, "U lies on the line pair")
-    return SymmetricDifference(pair)
+        cls_: BlockClass = LinePairMinusU(pair)
+    elif len(zero) == 4:
+        cls_ = ConicExterior(QuadraticForm(coeffs))  # type: ignore[arg-type]
+    else:
+        require(len(zero) == 1, f"zero set of size {len(zero)}")
+        (center,) = zero
+        bset = set(block)
+        pair = tuple(
+            ln
+            for ln in PLANE.lines_through(PLANE.points[center])
+            if len(bset.intersection(ln.points)) == 3
+        )
+        require(len(pair) == 2, "no line pair through the centre")
+        cls_ = SymmetricDifference(pair)
+    try:
+        rederived = rederive_block(cls_, u)
+    except ValueError as e:
+        raise InvariantError(str(e)) from None
+    require(rederived == block, "the witness does not re-derive the block")
+    return cls_
 
 
 def construct(u: ProjPoint = DEFAULT_U) -> WittModel:

@@ -3,9 +3,10 @@
 Two renderings of the same content: a human-readable table and a
 machine-readable JSON document.  The document carries the 13 canonical
 point coordinates in index order, the index of the removed point U, the
-132 blocks in lexicographic order, and one class record with witness
-per block.  Emission is deterministic byte for byte; parsing followed
-by re-emission reproduces the input exactly.
+132 blocks in lexicographic order, and one witness object per block:
+its kind, then its form or its two lines.  A document holds those JSON
+objects themselves.  Emission is deterministic byte for byte; parsing
+followed by re-emission reproduces the input exactly.
 """
 
 from __future__ import annotations
@@ -36,33 +37,24 @@ class DesignFileError(ValueError):
     """Raised when a design document is structurally malformed."""
 
 
-class ClassRecord(Record):
-    kind: str
-    form: tuple[int, ...] | None = None
-    lines: tuple[str, str] | None = None
-
-
 class DesignDocument(Record):
     points: tuple[str, ...]
     u: int
     blocks: tuple[Block, ...]
-    classes: tuple[ClassRecord, ...]
+    classes: tuple[dict[str, Any], ...]  # the witness objects
 
 
-def class_record(cls_: BlockClass) -> ClassRecord:
+def witness_object(cls_: BlockClass) -> dict[str, Any]:
+    """A witness as its JSON object: its kind, then its form or lines."""
     if isinstance(cls_, ConicExterior):
-        return ClassRecord(kind=KIND_CONIC, form=cls_.form.coeffs)
+        return {"kind": KIND_CONIC, "form": list(cls_.form.coeffs)}
     if isinstance(cls_, SymmetricDifference):
-        return ClassRecord(
-            kind=KIND_SYMDIFF,
-            lines=(cls_.lines[0].coord_str(), cls_.lines[1].coord_str()),
-        )
-    if isinstance(cls_, LinePairMinusU):
-        return ClassRecord(
-            kind=KIND_LINEPAIR,
-            lines=(cls_.lines[0].coord_str(), cls_.lines[1].coord_str()),
-        )
-    raise TypeError(f"unknown block class {cls_!r}")
+        kind = KIND_SYMDIFF
+    elif isinstance(cls_, LinePairMinusU):
+        kind = KIND_LINEPAIR
+    else:
+        raise TypeError(f"unknown block class {cls_!r}")
+    return {"kind": kind, "lines": [ln.coord_str() for ln in cls_.lines]}
 
 
 def document_from_model(m: WittModel) -> DesignDocument:
@@ -70,41 +62,33 @@ def document_from_model(m: WittModel) -> DesignDocument:
         points=tuple(p.coord_str() for p in PLANE.points),
         u=m.u.index,
         blocks=m.blocks,
-        classes=tuple(class_record(c) for c in m.classes),
+        classes=tuple(witness_object(c) for c in m.classes),
     )
 
 
-def class_from_record(rec: ClassRecord) -> BlockClass:
-    if rec.kind == KIND_CONIC:
-        if rec.form is None:
+def class_from_record(obj: dict[str, Any]) -> BlockClass:
+    """The witness a witness object names; ValueError when it names none."""
+    kind = obj["kind"]
+    if kind == KIND_CONIC:
+        if "form" not in obj:
             raise DesignFileError("conic record without a form")
-        return ConicExterior(QuadraticForm.of(*rec.form))
-    if rec.kind in (KIND_SYMDIFF, KIND_LINEPAIR):
-        if rec.lines is None:
-            raise DesignFileError(f"{rec.kind} record without lines")
-        lines = tuple(PLANE.parse_line(s) for s in rec.lines)
-        if rec.kind == KIND_SYMDIFF:
+        return ConicExterior(QuadraticForm.of(*obj["form"]))
+    if kind in (KIND_SYMDIFF, KIND_LINEPAIR):
+        if "lines" not in obj:
+            raise DesignFileError(f"{kind} record without lines")
+        lines = tuple(PLANE.parse_line(s) for s in obj["lines"])
+        if kind == KIND_SYMDIFF:
             return SymmetricDifference(lines)  # type: ignore[arg-type]
         return LinePairMinusU(lines)  # type: ignore[arg-type]
-    raise DesignFileError(f"unknown class kind {rec.kind!r}")
+    raise DesignFileError(f"unknown class kind {kind!r}")
 
 
-def record_object(rec: ClassRecord) -> dict[str, Any]:
-    """The JSON object of a class record: its kind, then its form or lines."""
-    obj: dict[str, Any] = {"kind": rec.kind}
-    if rec.form is not None:
-        obj["form"] = list(rec.form)
-    if rec.lines is not None:
-        obj["lines"] = list(rec.lines)
-    return obj
-
-
-def witness_text(rec: ClassRecord) -> str:
-    """A class record's witness as table text: 'form a,b,...' or 'lines x y'."""
-    if rec.form is not None:
-        return f"form {','.join(str(c) for c in rec.form)}"
-    if rec.lines is not None:
-        return f"lines {rec.lines[0]} {rec.lines[1]}"
+def witness_text(obj: dict[str, Any]) -> str:
+    """A witness object as table text: 'form a,b,...' or 'lines x y'."""
+    if "form" in obj:
+        return f"form {','.join(str(c) for c in obj['form'])}"
+    if "lines" in obj:
+        return f"lines {obj['lines'][0]} {obj['lines'][1]}"
     return ""
 
 
@@ -114,7 +98,7 @@ def render_structured(doc: DesignDocument) -> str:
         "points": list(doc.points),
         "u": doc.u,
         "blocks": [list(b) for b in doc.blocks],
-        "classes": [record_object(rec) for rec in doc.classes],
+        "classes": list(doc.classes),
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -161,8 +145,11 @@ def parse_structured(text: str) -> DesignDocument:
     for entry in classes_raw:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise DesignFileError("each class needs a kind")
-        form = entry.get("form")
-        lines = entry.get("lines")
+        # in witness_object's key order, without nulls or other keys, so a
+        # parsed document equals the document it was rendered from
+        obj = {"kind": entry["kind"]}
+        obj.update((k, entry[k]) for k in ("form", "lines") if entry.get(k) is not None)
+        form, lines = obj.get("form"), obj.get("lines")
         if form is not None and (
             not isinstance(form, list) or not all(_is_int(x) for x in form)
         ):
@@ -173,13 +160,7 @@ def parse_structured(text: str) -> DesignDocument:
             or not all(isinstance(x, str) for x in lines)
         ):
             raise DesignFileError("lines must be two coordinate strings")
-        classes.append(
-            ClassRecord(
-                kind=entry["kind"],
-                form=tuple(form) if form is not None else None,
-                lines=tuple(lines) if lines is not None else None,
-            )
-        )
+        classes.append(obj)
     return DesignDocument(
         points=tuple(points),
         u=u,
@@ -206,12 +187,12 @@ def render_table(doc: DesignDocument) -> str:
         lines.append(f"  #{i:<2} {coord}{tag}")
     lines.append("")
     lines.append(f"blocks ({len(doc.blocks)}, lexicographic)")
-    for b, rec in zip(doc.blocks, doc.classes):
+    for b, obj in zip(doc.blocks, doc.classes):
         pts = " ".join(f"{x:2d}" for x in b)
-        lines.append(f"  {pts}   {rec.kind:<22} {witness_text(rec)}")
+        lines.append(f"  {pts}   {obj['kind']:<22} {witness_text(obj)}")
     counts: dict[str, int] = {}
-    for rec in doc.classes:
-        counts[rec.kind] = counts.get(rec.kind, 0) + 1
+    for obj in doc.classes:
+        counts[obj["kind"]] = counts.get(obj["kind"], 0) + 1
     lines.append("")
     census = "  ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
     lines.append(f"census: {census}")

@@ -24,6 +24,7 @@ from witt12.checks import (
     DesignViolation,
     IncidenceStructure,
     InvariantError,
+    Record,
     affine_residue,
     complete_maps,
     completion_table,
@@ -31,8 +32,7 @@ from witt12.checks import (
     lambda_cascade,
     verify_t_design,
 )
-from witt12.design import LinePairMinusU, SymmetricDifference, as_incidence_structure, construct
-from witt12.designfile import ClassRecord
+from witt12.design import ConicExterior, LinePairMinusU, SymmetricDifference, as_incidence_structure, construct
 from witt12.gf3 import Mat
 from witt12.plane import PLANE, ProjLine
 from witt12.quadrics import QuadraticForm, canonical_table
@@ -315,8 +315,8 @@ def test_record_repr_is_pinned(model):
     assert repr(DesignViolation("coverage", (0, 1, 2, 3, 4), 2, 1)) == (
         "DesignViolation(kind='coverage', witness=(0, 1, 2, 3, 4), count=2, expected=1)"
     )
-    assert repr(ClassRecord("conic_exterior", form=(1, 0, 0, 0, 0, 1))) == (
-        "ClassRecord(kind='conic_exterior', form=(1, 0, 0, 0, 0, 1), lines=None)"
+    assert repr(ConicExterior(QuadraticForm.of(1, 0, 0, 0, 0, 1))) == (
+        "ConicExterior(form=QuadraticForm(coeffs=(1, 0, 0, 0, 0, 1)))"
     )
     assert repr(canonical_table()[0]) == (
         "TableRow(label='x0^2 + x1^2 + x2^2', form=QuadraticForm(coeffs=(1, 0, 0, 1, 0, 1)), "
@@ -363,9 +363,17 @@ def test_witt_model_compares_by_identity():
     assert len({a, b, a}) == 2
 
 
+class _Defaulted(Record):
+    # a class attribute named like a field is not its default
+    a: int
+    b: int = 0
+
+
 def test_record_keyword_construction():
-    assert ClassRecord(kind="k") == ClassRecord("k", None, None)
-    assert ClassRecord("k", lines=("0:0:1", "0:1:0")).form is None
+    assert DesignViolation("coverage", count=2, expected=1, witness=(0,)) == (
+        DesignViolation("coverage", (0,), 2, 1)
+    )
+    assert _Defaulted(b=2, a=1).b == 2
     assert DesignParams(v=12, t=5, lambda_=1, k=6) == DesignParams(5, 12, 6, 1)
 
 
@@ -376,8 +384,8 @@ def test_record_keyword_construction():
         lambda: DesignParams(5, 12, 6, 1, 0),
         lambda: DesignParams(5, 12, 6, 1, mu=0),
         lambda: DesignParams(5, 12, 6, t=1),
-        lambda: ClassRecord(),
-        lambda: ClassRecord(form=(1, 0, 0, 0, 0, 0)),
+        lambda: DesignParams(),
+        lambda: _Defaulted(1),
     ],
 )
 def test_record_rejects_wrong_arguments(make):

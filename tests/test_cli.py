@@ -748,6 +748,60 @@ def test_verify_rejects_a_non_canonical_file(capsys, tmp_path, design_file, name
     assert out.splitlines()[-1].startswith("VIOLATION: non-canonical")
 
 
+def _first(doc, kind):
+    return next(c for c in doc["classes"] if c["kind"] == kind)
+
+
+def _repeat_a_line(doc):
+    lines = _first(doc, "symmetric_difference")["lines"]
+    lines[1] = lines[0]
+
+
+# witness records that parse but name no witness, each with the reason
+# verify gives; the design itself is sound
+MALFORMED_WITNESSES = {
+    "conic-without-form": (
+        lambda o: _first(o, "conic_exterior").pop("form"),
+        "conic record without a form",
+    ),
+    "line-pair-without-lines": (
+        lambda o: _first(o, "line_pair_minus_u").pop("lines"),
+        "line_pair_minus_u record without lines",
+    ),
+    "unknown-kind": (
+        lambda o: o["classes"][0].__setitem__("kind", "ellipse"),
+        "unknown class kind 'ellipse'",
+    ),
+    "five-coefficients": (
+        lambda o: _first(o, "conic_exterior")["form"].pop(),
+        "a form has six coefficients",
+    ),
+    "equal-lines": (_repeat_a_line, "witness lines must be distinct"),
+    "zero-line": (
+        lambda o: _first(o, "line_pair_minus_u")["lines"].__setitem__(0, "0:0:0"),
+        "the zero vector spans no projective point",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WITNESSES))
+def test_verify_rejects_a_malformed_witness_record(capsys, tmp_path, design_file, name):
+    before, doc = json.loads(design_file.read_text()), json.loads(design_file.read_text())
+    change, reason = MALFORMED_WITNESSES[name]
+    change(doc)
+    k = next(i for i, c in enumerate(doc["classes"]) if c != before["classes"][i])
+    bad = tmp_path / "malformed-witness.json"
+    bad.write_text(json.dumps(doc, indent=2) + "\n")
+    code, out, err = run(capsys, "verify", str(bad), "--format", "structured")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["witnesses_ok"] is False
+    assert report["violation"] == {"kind": "witness", "block": doc["blocks"][k], "reason": reason}
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == f"VIOLATION: block {tuple(doc['blocks'][k])}: {reason}"
+
+
 def test_verify_rejects_crlf_line_ends(capsys, tmp_path, design_file):
     bad = tmp_path / "crlf.json"
     bad.write_bytes(design_file.read_bytes().replace(b"\n", b"\r\n"))

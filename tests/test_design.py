@@ -356,15 +356,18 @@ def centre_and_off_point_swapped_in(u, block, values, lines, off):
     return u, replace_points(block, [r, s], [centre, off]), values
 
 
+# the search's own checks name the zero set or the line pair; the rest
+# are rederive_block's: a ValueError of it, or another block
+NOT_THE_BLOCK = "the witness does not re-derive the block"
 WITNESS_FAULTS = [
     (LinePairMinusU, one_zero_fewer, "the zero set through U is not a line pair"),
-    (LinePairMinusU, block_point_swapped_out, "the line pair is not the block plus U"),
-    (ConicExterior, block_point_as_u, "U is not internal to the conic"),
-    (ConicExterior, block_point_swapped_out, "block is not the exterior"),
+    (LinePairMinusU, block_point_swapped_out, NOT_THE_BLOCK),
+    (ConicExterior, block_point_as_u, "witness conic does not have U as an internal point"),
+    (ConicExterior, block_point_swapped_out, NOT_THE_BLOCK),
     (SymmetricDifference, one_zero_more, "zero set of size 2"),
     (SymmetricDifference, block_point_swapped_out, "no line pair through the centre"),
-    (SymmetricDifference, centre_and_off_point_swapped_in, "block is not the symmetric difference"),
-    (SymmetricDifference, block_point_as_u, "U lies on the line pair"),
+    (SymmetricDifference, centre_and_off_point_swapped_in, NOT_THE_BLOCK),
+    (SymmetricDifference, block_point_as_u, "witness lines must avoid U"),
 ]
 
 

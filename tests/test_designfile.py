@@ -13,7 +13,9 @@ from witt12.designfile import (
     parse_structured,
     render_structured,
     render_table,
+    witness_object,
 )
+from witt12.plane import PLANE
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,7 @@ def text(doc):
 
 
 def test_round_trip_is_byte_identical(doc, text):
+    assert parse_structured(text) == doc
     again = render_structured(parse_structured(text))
     assert again == text
 
@@ -44,10 +47,14 @@ def test_document_content(model, doc):
     assert len(doc.classes) == 132
 
 
-def test_class_records_round_trip(model, doc):
-    for rec, b in zip(doc.classes, doc.blocks):
-        cls_ = class_from_record(rec)
-        assert rederive_block(cls_, model.u) == b
+@pytest.mark.parametrize("u", range(13))
+def test_class_records_round_trip(u):
+    # each witness, through its JSON object and back, re-derives its block
+    m = construct(PLANE.points[u])
+    for cls_, b in zip(m.classes, m.blocks):
+        obj = json.loads(json.dumps(witness_object(cls_)))
+        assert class_from_record(obj) == cls_
+        assert rederive_block(class_from_record(obj), m.u) == b
 
 
 def test_parse_rejects_truncation(text):
