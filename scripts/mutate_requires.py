@@ -8,15 +8,19 @@ tracer table a test reads) and ``pyproject.toml`` to a temporary
 directory, replaces that one statement with ``pass`` in the copy, and
 runs the Tier-1 suite there with ``-x``.  The obligation is killed when
 the suite fails, and survives when it passes: then no test has ever
-seen it fire.  The tree itself is never written.  The unmutated suite
-runs first in the copy: if it fails there, no obligation is counted and
-the script exits 2.
+seen it fire.  The mutated module's own test file,
+``tests/test_<module>.py``, runs first, also with ``-x``, and the whole
+suite only when that file passes: most obligations are killed there in
+seconds, and a test that fails alone fails in the suite too, so the
+verdict is the same.  The tree itself is never written.  The unmutated
+suite runs first in the copy: if it fails there, no obligation is
+counted and the script exits 2.
 
     python3 scripts/mutate_requires.py
 
 Prints one line per obligation and the survivor count, and exits 1 if
 any obligation survives.  Each survivor costs one full run of the
-suite, so a whole sweep takes several minutes; it is not part of the
+suite, so a whole sweep takes a few minutes; it is not part of the
 suite.
 """
 
@@ -57,11 +61,20 @@ def without(source: str, node: ast.stmt) -> str:
     return head + "pass" + tail
 
 
-def survives(work: Path) -> bool:
-    """Whether the suite in the work directory passes."""
+def passes(work: Path, target: str) -> bool:
+    """Whether pytest passes on the target in the work directory."""
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target]
     return subprocess.run(cmd, cwd=work, env=env, capture_output=True).returncode == 0
+
+
+def survives(work: Path, module: str) -> bool:
+    """Whether the suite in the work directory passes, the module's own
+    test file first."""
+    own = f"tests/test_{module}.py"
+    if (work / own).exists() and not passes(work, own):
+        return False
+    return passes(work, "tests")
 
 
 def main() -> int:
@@ -71,7 +84,7 @@ def main() -> int:
         for name in ("src", "tests", "scripts", "perfbench"):
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        if not survives(work):
+        if not passes(work, "tests"):
             print("the unmutated suite fails in the copy; no obligation counted", file=sys.stderr)
             return 2
         for f in sorted((ROOT / PACKAGE).glob("*.py")):
@@ -81,7 +94,7 @@ def main() -> int:
                 total += 1
                 target.write_text(without(source, node))
                 try:
-                    alive = survives(work)
+                    alive = survives(work, f.stem)
                 finally:
                     target.write_text(source)
                 survivors += alive

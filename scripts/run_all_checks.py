@@ -90,12 +90,12 @@ def main(argv=None):
     )
 
     section("block census")
-    census = Counter(type(c).__name__ for c in model.classes)
+    census = Counter(c["kind"] for c in model.classes)
     for kind in sorted(census):
         print(f"  {kind}: {census[kind]}")
     check(
         census
-        == {"ConicExterior": 54, "SymmetricDifference": 36, "LinePairMinusU": 42},
+        == {"conic_exterior": 54, "symmetric_difference": 36, "line_pair_minus_u": 42},
         "54 + 36 + 42 = 132",
     )
 

@@ -5,7 +5,9 @@ as blocks, the six-point solution sets of the quadratic conditions
 q(X) = 2 q(U).  The package provides the GF(3) linear algebra behind
 that construction, the plane model, quadric classification, the design
 with its block taxonomy and block solver, generic t-design checks, and
-the symmetry machinery up to the full automorphism group.
+the symmetry machinery up to the full automorphism group.  A block's
+witness is its JSON object, in memory as in a design file, and
+``rederive_block`` derives the block from it.
 """
 
 from .checks import (
@@ -28,9 +30,6 @@ from .designfile import (
 from .design import (
     Block,
     BlockSolution,
-    ConicExterior,
-    LinePairMinusU,
-    SymmetricDifference,
     WittModel,
     as_incidence_structure,
     block_of_form,
@@ -65,7 +64,6 @@ __all__ = [
     "PLANE",
     "Block",
     "BlockSolution",
-    "ConicExterior",
     "ConicGeometry",
     "DesignDocument",
     "DesignFileError",
@@ -73,13 +71,11 @@ __all__ = [
     "DesignViolation",
     "GroupSummary",
     "IncidenceStructure",
-    "LinePairMinusU",
     "PlaneModel",
     "ProjLine",
     "ProjPoint",
     "QuadraticForm",
     "QuadricType",
-    "SymmetricDifference",
     "WittModel",
     "affine_residue",
     "affinities",

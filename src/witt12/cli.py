@@ -90,8 +90,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     witness_bad = []
     for b, obj in zip(doc.blocks, doc.classes):
         try:
-            cls_ = designfile.class_from_record(obj)
-            rederived = design.rederive_block(cls_, u)
+            rederived = design.rederive_block(obj, u)
         except ValueError as e:
             witness_bad.append((b, str(e)))
             continue
@@ -166,7 +165,7 @@ def cmd_table(args: argparse.Namespace) -> Output:
 
 def cmd_classify(args: argparse.Namespace) -> Output:
     model = design.construct(_parse_u(args.u))
-    records = [(b, designfile.witness_object(c)) for b, c in zip(model.blocks, model.classes)]
+    records = list(zip(model.blocks, model.classes))
     counts = Counter(obj["kind"] for _, obj in records)
     payload: dict[str, Any] = {
         "command": "classify",

@@ -12,6 +12,10 @@ shapes, each carrying a re-derivable witness:
   which both avoid U,
 * union of two lines through U with U removed.
 
+A witness is its JSON object, in memory as in a design file: its kind,
+then the six coefficients of the conic's form or the duals of the two
+lines.  ``rederive_block`` is the one reader of a witness's kind.
+
 The solver finds the unique block through five given points of W from
 the five linear conditions q(d) = 2 q(U) on the six coefficients of q,
 without consulting the constructed block list.  The lookup reads the
@@ -20,11 +24,11 @@ sixth-point table (checks.completion_table) the automorphisms force with.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Any, Iterable
 
 from .checks import IncidenceStructure, InvariantError, Record, completion_table, require
 from .gf3 import MOD, Mat, det, null_space
-from .plane import PLANE, ProjLine, ProjPoint
+from .plane import PLANE, ProjPoint
 from .quadrics import MONOMIALS, QuadraticForm, conic_geometry, evaluate, point_values, representative_coeffs
 
 DEFAULT_U_INDEX = 4  # the point 1:0:0
@@ -32,26 +36,9 @@ DEFAULT_U = PLANE.points[DEFAULT_U_INDEX]
 
 Block = tuple[int, ...]
 
-
-class ConicExterior(Record):
-    """Block = external points of the witness conic; U is internal."""
-
-    form: QuadraticForm
-
-
-class SymmetricDifference(Record):
-    """Block = symmetric difference of two lines, both avoiding U."""
-
-    lines: tuple[ProjLine, ProjLine]
-
-
-class LinePairMinusU(Record):
-    """Block = union of two lines through U, with U removed."""
-
-    lines: tuple[ProjLine, ProjLine]
-
-
-BlockClass = Union[ConicExterior, SymmetricDifference, LinePairMinusU]
+KIND_CONIC = "conic_exterior"
+KIND_SYMDIFF = "symmetric_difference"
+KIND_LINEPAIR = "line_pair_minus_u"
 
 
 class WittModel(Record):
@@ -59,7 +46,7 @@ class WittModel(Record):
     w: tuple[int, ...]
     w_position: dict[int, int]
     blocks: tuple[Block, ...]
-    classes: tuple[BlockClass, ...]
+    classes: tuple[dict[str, Any], ...]  # the witness objects
     sixth: dict[int, int]  # five W positions as a bitmask -> the sixth point of their block
     local_blocks: tuple[tuple[int, ...], ...]
 
@@ -93,17 +80,17 @@ def block_of_form(q: QuadraticForm, u: ProjPoint = DEFAULT_U) -> Block | None:
 
 def _classify_from_form(
     u: ProjPoint, block: Block, coeffs: tuple[int, ...], values: tuple[int, ...]
-) -> BlockClass:
-    """The witness of a block, read off the zero set of its form and
-    proved by re-deriving the block from it."""
+) -> dict[str, Any]:
+    """The witness object of a block, read off the zero set of its form
+    and proved by re-deriving the block from it."""
     zero = {i for i, v in enumerate(values) if v == 0}
     if values[u.index] == 0:
         # U lies on the zero set, which must be a pair of lines through U
         pair = tuple(ln for ln in PLANE.lines if zero.issuperset(ln.points))
         require(len(pair) == 2, "the zero set through U is not a line pair")
-        cls_: BlockClass = LinePairMinusU(pair)
+        witness = {"kind": KIND_LINEPAIR, "lines": [ln.coord_str() for ln in pair]}
     elif len(zero) == 4:
-        cls_ = ConicExterior(QuadraticForm(coeffs))  # type: ignore[arg-type]
+        witness = {"kind": KIND_CONIC, "form": list(coeffs)}
     else:
         require(len(zero) == 1, f"zero set of size {len(zero)}")
         (center,) = zero
@@ -114,13 +101,13 @@ def _classify_from_form(
             if len(bset.intersection(ln.points)) == 3
         )
         require(len(pair) == 2, "no line pair through the centre")
-        cls_ = SymmetricDifference(pair)
+        witness = {"kind": KIND_SYMDIFF, "lines": [ln.coord_str() for ln in pair]}
     try:
-        rederived = rederive_block(cls_, u)
+        rederived = rederive_block(witness, u)
     except ValueError as e:
         raise InvariantError(str(e)) from None
     require(rederived == block, "the witness does not re-derive the block")
-    return cls_
+    return witness
 
 
 def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
@@ -150,29 +137,32 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     )
 
 
-def rederive_block(cls_: BlockClass, u: ProjPoint) -> Block:
-    """Recompute a block from its class witness alone."""
-    if isinstance(cls_, ConicExterior):
-        geo = conic_geometry(cls_.form)
+def rederive_block(obj: dict[str, Any], u: ProjPoint) -> Block:
+    """Recompute a block from its witness object alone; ValueError when
+    the object names no witness of a block for U."""
+    kind = obj["kind"]
+    if kind == KIND_CONIC:
+        if "form" not in obj:
+            raise ValueError("conic record without a form")
+        geo = conic_geometry(QuadraticForm.of(*obj["form"]))
         if u not in geo.internal:
             raise ValueError("witness conic does not have U as an internal point")
         return tuple(sorted(p.index for p in geo.external))
-    if isinstance(cls_, SymmetricDifference):
-        r, s = cls_.lines
-        if r.index == s.index:
-            raise ValueError("witness lines must be distinct")
-        if u.index in set(r.points) | set(s.points):
+    if kind not in (KIND_SYMDIFF, KIND_LINEPAIR):
+        raise ValueError(f"unknown class kind {kind!r}")
+    if "lines" not in obj:
+        raise ValueError(f"{kind} record without lines")
+    g, h = (PLANE.parse_line(s) for s in obj["lines"])
+    if g.index == h.index:
+        raise ValueError("witness lines must be distinct")
+    if kind == KIND_SYMDIFF:
+        if u.index in set(g.points) | set(h.points):
             raise ValueError("witness lines must avoid U")
-        return tuple(sorted(set(r.points) ^ set(s.points)))
-    if isinstance(cls_, LinePairMinusU):
-        g, h = cls_.lines
-        if g.index == h.index:
-            raise ValueError("witness lines must be distinct")
-        union = set(g.points) | set(h.points)
-        if u.index not in union:
-            raise ValueError("witness line pair must pass through U")
-        return tuple(sorted(union - {u.index}))
-    raise TypeError(f"unknown block class {cls_!r}")
+        return tuple(sorted(set(g.points) ^ set(h.points)))
+    union = set(g.points) | set(h.points)
+    if u.index not in union:
+        raise ValueError("witness line pair must pass through U")
+    return tuple(sorted(union - {u.index}))
 
 
 def _validated_five(d: Iterable[int], u: ProjPoint) -> tuple[int, ...]:

@@ -4,9 +4,11 @@ Two renderings of the same content: a human-readable table and a
 machine-readable JSON document.  The document carries the 13 canonical
 point coordinates in index order, the index of the removed point U, the
 132 blocks in lexicographic order, and one witness object per block:
-its kind, then its form or its two lines.  A document holds those JSON
-objects themselves.  Emission is deterministic byte for byte; parsing
-followed by re-emission reproduces the input exactly.
+its kind, then its form or its two lines.  A witness is that JSON
+object in memory too: a document holds the model's witnesses as they
+are, and ``design.rederive_block`` reads a parsed one directly.
+Emission is deterministic byte for byte; parsing followed by
+re-emission reproduces the input exactly.
 """
 
 from __future__ import annotations
@@ -15,22 +17,10 @@ import json
 from typing import Any
 
 from .checks import Record
-from .design import (
-    Block,
-    BlockClass,
-    ConicExterior,
-    LinePairMinusU,
-    SymmetricDifference,
-    WittModel,
-)
+from .design import Block, WittModel
 from .plane import PLANE
-from .quadrics import QuadraticForm
 
 FORMAT_NAME = "witt12-design-v1"
-
-KIND_CONIC = "conic_exterior"
-KIND_SYMDIFF = "symmetric_difference"
-KIND_LINEPAIR = "line_pair_minus_u"
 
 
 class DesignFileError(ValueError):
@@ -44,43 +34,13 @@ class DesignDocument(Record):
     classes: tuple[dict[str, Any], ...]  # the witness objects
 
 
-def witness_object(cls_: BlockClass) -> dict[str, Any]:
-    """A witness as its JSON object: its kind, then its form or lines."""
-    if isinstance(cls_, ConicExterior):
-        return {"kind": KIND_CONIC, "form": list(cls_.form.coeffs)}
-    if isinstance(cls_, SymmetricDifference):
-        kind = KIND_SYMDIFF
-    elif isinstance(cls_, LinePairMinusU):
-        kind = KIND_LINEPAIR
-    else:
-        raise TypeError(f"unknown block class {cls_!r}")
-    return {"kind": kind, "lines": [ln.coord_str() for ln in cls_.lines]}
-
-
 def document_from_model(m: WittModel) -> DesignDocument:
     return DesignDocument(
         points=tuple(p.coord_str() for p in PLANE.points),
         u=m.u.index,
         blocks=m.blocks,
-        classes=tuple(witness_object(c) for c in m.classes),
+        classes=m.classes,
     )
-
-
-def class_from_record(obj: dict[str, Any]) -> BlockClass:
-    """The witness a witness object names; ValueError when it names none."""
-    kind = obj["kind"]
-    if kind == KIND_CONIC:
-        if "form" not in obj:
-            raise DesignFileError("conic record without a form")
-        return ConicExterior(QuadraticForm.of(*obj["form"]))
-    if kind in (KIND_SYMDIFF, KIND_LINEPAIR):
-        if "lines" not in obj:
-            raise DesignFileError(f"{kind} record without lines")
-        lines = tuple(PLANE.parse_line(s) for s in obj["lines"])
-        if kind == KIND_SYMDIFF:
-            return SymmetricDifference(lines)  # type: ignore[arg-type]
-        return LinePairMinusU(lines)  # type: ignore[arg-type]
-    raise DesignFileError(f"unknown class kind {kind!r}")
 
 
 def witness_text(obj: dict[str, Any]) -> str:
@@ -145,7 +105,7 @@ def parse_structured(text: str) -> DesignDocument:
     for entry in classes_raw:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise DesignFileError("each class needs a kind")
-        # in witness_object's key order, without nulls or other keys, so a
+        # in a constructed witness's key order, without nulls or other keys, so a
         # parsed document equals the document it was rendered from
         obj = {"kind": entry["kind"]}
         obj.update((k, entry[k]) for k in ("form", "lines") if entry.get(k) is not None)

@@ -32,7 +32,7 @@ from witt12.checks import (
     lambda_cascade,
     verify_t_design,
 )
-from witt12.design import ConicExterior, LinePairMinusU, SymmetricDifference, as_incidence_structure, construct
+from witt12.design import BlockSolution, as_incidence_structure, construct
 from witt12.gf3 import Mat
 from witt12.plane import PLANE, ProjLine
 from witt12.quadrics import QuadraticForm, canonical_table
@@ -315,8 +315,9 @@ def test_record_repr_is_pinned(model):
     assert repr(DesignViolation("coverage", (0, 1, 2, 3, 4), 2, 1)) == (
         "DesignViolation(kind='coverage', witness=(0, 1, 2, 3, 4), count=2, expected=1)"
     )
-    assert repr(ConicExterior(QuadraticForm.of(1, 0, 0, 0, 0, 1))) == (
-        "ConicExterior(form=QuadraticForm(coeffs=(1, 0, 0, 0, 0, 1)))"
+    assert repr(BlockSolution("B", (2, 3, 8, 9, 11, 12), QuadraticForm.of(0, 0, 0, 1, 0, 2), 1, 0)) == (
+        "BlockSolution(case='B', block=(2, 3, 8, 9, 11, 12), "
+        "form=QuadraticForm(coeffs=(0, 0, 0, 1, 0, 2)), dimension=1, determinant=0)"
     )
     assert repr(canonical_table()[0]) == (
         "TableRow(label='x0^2 + x1^2 + x2^2', form=QuadraticForm(coeffs=(1, 0, 0, 1, 0, 1)), "
@@ -351,8 +352,8 @@ def test_record_is_frozen():
 
 
 def test_records_of_different_types_are_unequal():
-    lines = (PLANE.lines[1], PLANE.lines[4])
-    assert SymmetricDifference(lines) != LinePairMinusU(lines)
+    # equal field tuples, so equal hashes, but two types
+    assert DesignViolation(5, 12, 6, 1) != DesignParams(5, 12, 6, 1)
     assert DesignParams(5, 12, 6, 1) != (5, 12, 6, 1)
     assert DesignParams(5, 12, 6, 1) == DesignParams(5, 12, 6, 1)
 

@@ -9,6 +9,7 @@ breaks both the pin and the oracle comparison.
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -19,9 +20,9 @@ import witt12
 from witt12 import design, quadrics
 from witt12.checks import InvariantError
 from witt12.design import (
-    ConicExterior,
-    LinePairMinusU,
-    SymmetricDifference,
+    KIND_CONIC,
+    KIND_LINEPAIR,
+    KIND_SYMDIFF,
     block_of_form,
     block_through,
     construct,
@@ -33,9 +34,9 @@ from witt12.quadrics import QuadraticForm, form_pair_representatives
 from witt12.symmetry import point_map
 
 EXPECTED_CENSUS = {
-    ConicExterior: 54,
-    SymmetricDifference: 36,
-    LinePairMinusU: 42,
+    "conic_exterior": 54,
+    "symmetric_difference": 36,
+    "line_pair_minus_u": 42,
 }
 
 
@@ -81,45 +82,61 @@ def test_every_five_subset_covered_exactly_once(model):
 
 
 def test_census(model):
-    got = Counter(type(c) for c in model.classes)
+    got = Counter(c["kind"] for c in model.classes)
     assert got == EXPECTED_CENSUS
 
 
 def test_every_witness_rederives_its_block(model):
-    for b, cls_ in zip(model.blocks, model.classes):
-        assert rederive_block(cls_, model.u) == b
+    for b, obj in zip(model.blocks, model.classes):
+        assert rederive_block(obj, model.u) == b
 
 
 def classify_block(m, b):
-    """The class the model records for a block, by its position."""
+    """The witness object the model records for a block, by its position."""
     return m.classes[m.blocks.index(b)]
 
 
 def test_classify_frozen_examples(model):
-    c = classify_block(model, (2, 3, 5, 6, 7, 10))
-    assert isinstance(c, ConicExterior)
-    assert c.form.coeffs == (1, 0, 0, 1, 0, 1)
-
-    s = classify_block(model, (7, 8, 9, 10, 11, 12))
-    assert isinstance(s, SymmetricDifference)
-    assert tuple(ln.dual for ln in s.lines) == ((1, 1, 0), (1, 2, 0))
-
-    lp = classify_block(model, (2, 3, 8, 9, 11, 12))
-    assert isinstance(lp, LinePairMinusU)
-    assert tuple(ln.dual for ln in lp.lines) == ((0, 1, 1), (0, 1, 2))
+    assert classify_block(model, (2, 3, 5, 6, 7, 10)) == {
+        "kind": "conic_exterior", "form": [1, 0, 0, 1, 0, 1],
+    }
+    assert classify_block(model, (7, 8, 9, 10, 11, 12)) == {
+        "kind": "symmetric_difference", "lines": ["1:1:0", "1:2:0"],
+    }
+    assert classify_block(model, (2, 3, 8, 9, 11, 12)) == {
+        "kind": "line_pair_minus_u", "lines": ["0:1:1", "0:1:2"],
+    }
 
 
-def test_rederive_rejects_corrupt_witnesses(model):
-    with pytest.raises(ValueError):
-        rederive_block(ConicExterior(QuadraticForm.of(1, 0, 0, 1, 0, 0)), model.u)
-    ln = PLANE.lines[7]
-    with pytest.raises(ValueError):
-        rederive_block(LinePairMinusU((ln, ln)), model.u)
-    with pytest.raises(ValueError):
-        rederive_block(SymmetricDifference((ln, ln)), model.u)
-    with pytest.raises(ValueError):
-        # lines through U cannot witness a symmetric difference block
-        rederive_block(SymmetricDifference((PLANE.lines[0], PLANE.lines[1])), model.u)
+# one malformed witness object per check of rederive_block, at U = #4;
+# line #0 passes through U, lines #5 and #7 avoid it
+CORRUPT_WITNESSES = [
+    ("unknown-kind", {"kind": "conic"}, "unknown class kind 'conic'"),
+    ("missing-form", {"kind": KIND_CONIC}, "conic record without a form"),
+    ("missing-lines", {"kind": KIND_LINEPAIR}, "line_pair_minus_u record without lines"),
+    ("bad-line-spec", {"kind": KIND_SYMDIFF, "lines": ["1:1", "#7"]}, "bad line spec '1:1'"),
+    ("five-coefficients", {"kind": KIND_CONIC, "form": [1, 0, 0, 1, 0]}, "a form has six coefficients"),
+    (
+        "non-conic-form",  # x0^2 + x1^2 vanishes at one point only
+        {"kind": KIND_CONIC, "form": [1, 0, 0, 1, 0, 0]},
+        "conic geometry needs a nondegenerate conic form",
+    ),
+    (
+        "u-outside-conic",  # x0^2 + x1 x2 is 1 at U, an external point
+        {"kind": KIND_CONIC, "form": [1, 0, 0, 0, 1, 0]},
+        "witness conic does not have U as an internal point",
+    ),
+    ("symdiff-repeated-line", {"kind": KIND_SYMDIFF, "lines": ["#7", "#7"]}, "witness lines must be distinct"),
+    ("line-pair-repeated-line", {"kind": KIND_LINEPAIR, "lines": ["#7", "#7"]}, "witness lines must be distinct"),
+    ("symdiff-line-through-u", {"kind": KIND_SYMDIFF, "lines": ["#0", "#7"]}, "witness lines must avoid U"),
+    ("line-pair-misses-u", {"kind": KIND_LINEPAIR, "lines": ["#5", "#7"]}, "witness line pair must pass through U"),
+]
+
+
+@pytest.mark.parametrize("obj, message", [pytest.param(*c[1:], id=c[0]) for c in CORRUPT_WITNESSES])
+def test_rederive_rejects_corrupt_witnesses(model, obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rederive_block(obj, model.u)
 
 
 def test_block_through_validation(model):
@@ -189,8 +206,7 @@ def test_solver_agrees_with_lookup_everywhere(model):
     for five in itertools.combinations(model.w, 5):
         sol = solve_block_through(five, model.u)
         assert sol.block == block_through(model, five)
-        cls_ = classify_block(model, sol.block)
-        if isinstance(cls_, LinePairMinusU):
+        if classify_block(model, sol.block)["kind"] == KIND_LINEPAIR:
             assert sol.case == "B"
             assert sol.determinant == 0
         else:
@@ -235,7 +251,7 @@ def test_alternate_removed_point_gives_isomorphic_design(model, collineations):
     other = construct(PLANE.points[0])
     assert other.u.index == 0
     assert len(other.blocks) == 132
-    assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
+    assert Counter(c["kind"] for c in other.classes) == EXPECTED_CENSUS
     assert other.blocks != model.blocks
     carrier = next(c for c in collineations if point_map(c)[model.u.index] == 0)
     pm = point_map(carrier)
@@ -252,12 +268,12 @@ def test_every_u_is_a_collineation_image_of_the_default(model, collineations, u)
     kappa = next(c for c in collineations if point_map(c)[model.u.index] == u)
     pm = point_map(kappa)
     assert other.blocks == tuple(sorted(tuple(sorted(pm[x] for x in b)) for b in model.blocks))
-    assert Counter(type(c) for c in other.classes) == EXPECTED_CENSUS
+    assert Counter(c["kind"] for c in other.classes) == EXPECTED_CENSUS
     cases = Counter()
     for five in itertools.combinations(other.w, 5):
         sol = solve_block_through(five, other.u)
         assert sol.block == block_through(other, five)
-        line_pair = isinstance(classify_block(other, sol.block), LinePairMinusU)
+        line_pair = classify_block(other, sol.block)["kind"] == KIND_LINEPAIR
         assert (sol.case == "B") == line_pair == (sol.determinant == 0)
         cases[sol.case] += 1
     assert cases == {"A": 540, "B": 252}
@@ -276,7 +292,7 @@ def corrupt_point_values(monkeypatch, corrupt):
 
 
 def conic_witnesses(model):
-    return [c.form.coeffs for c in model.classes if isinstance(c, ConicExterior)]
+    return [tuple(c["form"]) for c in model.classes if c["kind"] == KIND_CONIC]
 
 
 @pytest.mark.parametrize("point", [0, 4, 12])
@@ -360,32 +376,32 @@ def centre_and_off_point_swapped_in(u, block, values, lines, off):
 # are rederive_block's: a ValueError of it, or another block
 NOT_THE_BLOCK = "the witness does not re-derive the block"
 WITNESS_FAULTS = [
-    (LinePairMinusU, one_zero_fewer, "the zero set through U is not a line pair"),
-    (LinePairMinusU, block_point_swapped_out, NOT_THE_BLOCK),
-    (ConicExterior, block_point_as_u, "witness conic does not have U as an internal point"),
-    (ConicExterior, block_point_swapped_out, NOT_THE_BLOCK),
-    (SymmetricDifference, one_zero_more, "zero set of size 2"),
-    (SymmetricDifference, block_point_swapped_out, "no line pair through the centre"),
-    (SymmetricDifference, centre_and_off_point_swapped_in, NOT_THE_BLOCK),
-    (SymmetricDifference, block_point_as_u, "witness lines must avoid U"),
+    (KIND_LINEPAIR, one_zero_fewer, "the zero set through U is not a line pair"),
+    (KIND_LINEPAIR, block_point_swapped_out, NOT_THE_BLOCK),
+    (KIND_CONIC, block_point_as_u, "witness conic does not have U as an internal point"),
+    (KIND_CONIC, block_point_swapped_out, NOT_THE_BLOCK),
+    (KIND_SYMDIFF, one_zero_more, "zero set of size 2"),
+    (KIND_SYMDIFF, block_point_swapped_out, "no line pair through the centre"),
+    (KIND_SYMDIFF, centre_and_off_point_swapped_in, NOT_THE_BLOCK),
+    (KIND_SYMDIFF, block_point_as_u, "witness lines must avoid U"),
 ]
 
 
 @pytest.mark.parametrize(
-    "shape, change, message",
-    [pytest.param(*f, id=f"{f[0].__name__}-{f[1].__name__}") for f in WITNESS_FAULTS],
+    "kind, change, message",
+    [pytest.param(*f, id=f"{f[0]}-{f[1].__name__}") for f in WITNESS_FAULTS],
 )
-def test_a_tampered_witness_fails_its_shape_check(model, shape, change, message):
-    # a real block of the shape with its witness form's values, then one
+def test_a_tampered_witness_fails_its_shape_check(model, kind, change, message):
+    # a real block of the kind with its witness form's values, then one
     # of U, the block or the values changed; off is a point off U, the
     # block and the witness lines
-    k = next(i for i, c in enumerate(model.classes) if isinstance(c, shape))
-    block, lines = model.blocks[k], getattr(model.classes[k], "lines", ())
+    k = next(i for i, c in enumerate(model.classes) if c["kind"] == kind)
+    block, lines = model.blocks[k], [PLANE.parse_line(s) for s in model.classes[k].get("lines", ())]
     coeffs = next(q.coeffs for q in form_pair_representatives() if block_of_form(q, model.u) == block)
     used = {model.u.index, *block, *(x for ln in lines for x in ln.points)}
     off = min(set(range(13)) - used)
     values = quadrics.point_values(coeffs)
-    assert isinstance(design._classify_from_form(model.u, block, coeffs, values), shape)
+    assert design._classify_from_form(model.u, block, coeffs, values) == model.classes[k]
     u, block, values = change(model.u, block, list(values), lines, off)
     with pytest.raises(InvariantError, match=f"^{message}$"):
         design._classify_from_form(u, block, coeffs, tuple(values))

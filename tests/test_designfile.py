@@ -8,12 +8,10 @@ from witt12.design import construct, rederive_block
 from witt12.designfile import (
     DesignFileError,
     check_document_frame,
-    class_from_record,
     document_from_model,
     parse_structured,
     render_structured,
     render_table,
-    witness_object,
 )
 from witt12.plane import PLANE
 
@@ -49,12 +47,13 @@ def test_document_content(model, doc):
 
 @pytest.mark.parametrize("u", range(13))
 def test_class_records_round_trip(u):
-    # each witness, through its JSON object and back, re-derives its block
+    # each witness object comes back from JSON unchanged, key order too,
+    # and re-derives its block
     m = construct(PLANE.points[u])
-    for cls_, b in zip(m.classes, m.blocks):
-        obj = json.loads(json.dumps(witness_object(cls_)))
-        assert class_from_record(obj) == cls_
-        assert rederive_block(class_from_record(obj), m.u) == b
+    for obj, b in zip(m.classes, m.blocks):
+        again = json.loads(json.dumps(obj))
+        assert again == obj and list(again) == list(obj)
+        assert rederive_block(again, m.u) == b
 
 
 def test_parse_rejects_truncation(text):
