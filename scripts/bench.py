@@ -18,6 +18,11 @@ ones, and the file also records, per end-to-end metric, the ratio of
 the medians, how many pairs this tree won and the parent's
 interquartile range; the per-command medians (``aut_p50_s`` and the
 like) are compared the same way, lower being better.
+
+It stops before the first run if either tree holds a ``__pycache__``
+under ``src/``: perfbench's children do not write bytecode, so a cache
+left by an earlier in-process run would spare one tree the compiling of
+the package on every cold command and skew the comparison.
 """
 
 from __future__ import annotations
@@ -54,6 +59,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
 def src_lines(tree: Path) -> int:
     """Lines of the package sources, src/witt12/*.py, in the tree."""
     return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "witt12").glob("*.py"))
+
+
+def bytecode_caches(tree: Path) -> list[Path]:
+    """The __pycache__ directories under the tree's src/."""
+    return sorted((tree / "src").rglob("__pycache__"))
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -111,6 +121,9 @@ def main() -> int:
     trees = {"change": ROOT}
     if args.parent is not None:
         trees = {"parent": args.parent.resolve(), "change": ROOT}
+    caches = [c for tree in trees.values() for c in bytecode_caches(tree)]
+    if caches:
+        parser.error("remove the bytecode caches first: " + ", ".join(str(c) for c in caches))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]

@@ -8,15 +8,18 @@ the sha256 of stdout (or, for ``construct --out``, of the written file):
 ``verify`` of the canonical file at all 13 U; ``block`` by both methods
 through three five-sets of W at each U (the first five, the last five
 and every other point of W); ``verify`` of one tampered file and of
-one file with a witness record that names no witness (exit 1);
-``remark3`` and ``derive`` on all 52 (U, line through U) pairs; and
-three usage errors (exit 2): U = #13, a line not through U and a missing
-file; each in the table and the structured format: 480 command lines.
-A ``verify`` line reads the file that its tree's own ``construct --out``
-writes; the tampered copy has one point of its first block replaced by
-the least point of W outside it, and the formless copy has lost the form
-of its first conic record.  Prints every difference and exits 1 if there
-is any, else 0.
+one file with a witness record that names no witness (exit 1), and of
+one file with a changed point coordinate (exit 2); ``remark3`` and
+``derive`` on all 52 (U, line through U) pairs; and four usage or write
+errors (exit 2): U = #13, a line not through U, a missing file and
+``construct --out`` into a missing directory; each in the table and the
+structured format: 484 command lines.  A ``verify`` line reads the file
+that its tree's own ``construct --out`` writes; the tampered copy has
+one point of its first block replaced by the least point of W outside
+it, the formless copy has lost the form of its first conic record, and
+the reframed copy writes its first point as the double of its
+coordinates.  Prints every difference and exits 1 if there is any,
+else 0.
 
 Usage: python3 scripts/same_outputs.py PARENT_DIR
 """
@@ -36,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("table", "structured")
 # the files verify lines read: U's canonical design, or a changed copy
-DESIGN_FILE = re.compile(r"(design|tampered|formless)-([0-9]+)\.json")
+DESIGN_FILE = re.compile(r"(design|tampered|formless|reframed)-([0-9]+)\.json")
 
 
 def commands() -> list[list[str]]:
@@ -60,12 +63,14 @@ def commands() -> list[list[str]]:
                     out.append(["block", *five, "--u", f"#{u}", "--method", method, "--format", fmt])
         out.append(["verify", "--format", fmt, "tampered-4.json"])
         out.append(["verify", "--format", fmt, "formless-4.json"])
+        out.append(["verify", "--format", fmt, "reframed-4.json"])
         for u, g in pairs:
             for name in ("remark3", "derive"):
                 out.append([name, "--u", f"#{u}", "--line", f"#{g}", "--format", fmt])
         out.append(["construct", "--u", "#13", "--format", fmt])
         out.append(["remark3", "--u", "#4", "--line", f"#{off_4}", "--format", fmt])
         out.append(["verify", "--format", fmt, "missing.json"])
+        out.append(["construct", "--format", fmt, "--out", "no-such-dir/out.txt"])
     return out
 
 
@@ -86,6 +91,17 @@ def lose_form(text: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def reframe(text: str) -> str:
+    """The design file with its first point written as the double of its
+    coordinates: the same point, but not the canonical frame."""
+    doc = json.loads(text)
+    doc["points"][0] = ":".join(str(2 * int(c) % 3) for c in doc["points"][0].split(":"))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+CHANGED_COPIES = {"tampered": tamper, "formless": lose_form, "reframed": reframe}
+
+
 def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
     """(exit code, sha256 of stdout or of the --out file, stderr) of one command."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -97,8 +113,7 @@ def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
             design = Path(tmp, f"design-{u}.json")
             subprocess.run([*cli, "construct", "--u", f"#{u}", "--out", design], cwd=tmp, env=env, check=True)
             if kind != "design":
-                change = tamper if kind == "tampered" else lose_form
-                Path(tmp, argv[-1]).write_text(change(design.read_text()))
+                Path(tmp, argv[-1]).write_text(CHANGED_COPIES[kind](design.read_text()))
         p = subprocess.run([*cli, *argv], cwd=tmp, env=env, capture_output=True)
         out = Path(tmp, "out.txt")
         data = out.read_bytes() if "--out" in argv and out.exists() else p.stdout

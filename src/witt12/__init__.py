@@ -5,9 +5,10 @@ as blocks, the six-point solution sets of the quadratic conditions
 q(X) = 2 q(U).  The package provides the GF(3) linear algebra behind
 that construction, the plane model, quadric classification, the design
 with its block taxonomy and block solver, generic t-design checks, and
-the symmetry machinery up to the full automorphism group.  A block's
-witness is its JSON object, in memory as in a design file, and
-``rederive_block`` derives the block from it.
+the symmetry machinery up to the full automorphism group.  A design
+document is its JSON object, in memory as in a design file, and so is
+each block's witness in it, from which ``rederive_block`` derives the
+block; ``render_structured`` renders every structured output.
 """
 
 from .checks import (
@@ -20,7 +21,6 @@ from .checks import (
     verify_t_design,
 )
 from .designfile import (
-    DesignDocument,
     DesignFileError,
     document_from_model,
     parse_structured,
@@ -65,7 +65,6 @@ __all__ = [
     "Block",
     "BlockSolution",
     "ConicGeometry",
-    "DesignDocument",
     "DesignFileError",
     "DesignParams",
     "DesignViolation",

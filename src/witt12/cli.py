@@ -10,18 +10,16 @@ format is JSON, the table format is plain text.  Output is a table unless
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections import Counter
 from typing import Any, Callable, Sequence
 
 from . import checks, design, designfile, symmetry
 from .plane import PLANE, ProjLine, ProjPoint
 from .quadrics import canonical_table
 
-# what a command produces: the structured payload (a dict, or the design
-# document itself), the lines of the table format, and the exit code
+# what a command produces: the structured payload (a JSON object, such as
+# a design document), the lines of the table format, and the exit code
 Output = tuple[Any, list[str], int]
 
 
@@ -53,14 +51,12 @@ def _parse_line_through_u(args: argparse.Namespace) -> tuple[ProjPoint, ProjLine
 def _render(payload: Any, text_lines: list[str], fmt: str) -> str:
     if fmt == "table":
         return "\n".join(text_lines) + "\n"
-    if isinstance(payload, designfile.DesignDocument):
-        return designfile.render_structured(payload)
-    return json.dumps(payload, indent=2) + "\n"
+    return designfile.render_structured(payload)
 
 
 def cmd_construct(args: argparse.Namespace) -> Output:
     doc = designfile.document_from_model(design.construct(_parse_u(args.u)))
-    return doc, designfile.render_table(doc).splitlines(), 0
+    return doc, designfile.render_table(doc), 0
 
 
 def cmd_verify(args: argparse.Namespace) -> Output:
@@ -72,12 +68,12 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     except UnicodeDecodeError as e:
         raise designfile.DesignFileError(f"{args.file} is not UTF-8 text: {e}") from None
     doc = designfile.parse_structured(text)
-    designfile.check_document_frame(doc)
     report: dict[str, Any] = {"command": "verify"}
-    u = PLANE.points[doc.u]
-    w = tuple(p.index for p in PLANE.points if p.index != doc.u)
+    u = PLANE.points[doc["u"]]
+    w = tuple(p.index for p in PLANE.points if p.index != u.index)
+    blocks = [tuple(b) for b in doc["blocks"]]
     try:
-        result = checks.verify_t_design(checks.IncidenceStructure(w, doc.blocks), 5)
+        result = checks.verify_t_design(checks.IncidenceStructure(w, blocks), 5)
     except ValueError as e:  # also no blocks, or a block under five points
         report["violation"] = {"kind": "structure", "reason": str(e)}
         return report, [f"VIOLATION: {e}"], 1
@@ -88,7 +84,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
         return report, [text], 1
     cascade = checks.lambda_cascade(result)
     witness_bad = []
-    for b, obj in zip(doc.blocks, doc.classes):
+    for b, obj in zip(blocks, doc["classes"]):
         try:
             rederived = design.rederive_block(obj, u)
         except ValueError as e:
@@ -102,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     lines = [
         f"design: {result.t}-({result.v},{result.k},{result.lambda_})",
         "lambda cascade: " + " ".join(str(x) for x in cascade),
-        f"block witnesses: {len(doc.blocks) - len(witness_bad)}/{len(doc.blocks)} ok",
+        f"block witnesses: {len(blocks) - len(witness_bad)}/{len(blocks)} ok",
     ]
     if witness_bad:
         b, reason = witness_bad[0]
@@ -166,13 +162,9 @@ def cmd_table(args: argparse.Namespace) -> Output:
 def cmd_classify(args: argparse.Namespace) -> Output:
     model = design.construct(_parse_u(args.u))
     records = list(zip(model.blocks, model.classes))
-    counts = Counter(obj["kind"] for _, obj in records)
-    payload: dict[str, Any] = {
-        "command": "classify",
-        "census": {k: counts[k] for k in sorted(counts)},
-        "total": len(records),
-    }
-    text_lines = [f"{k}: {counts[k]}" for k in sorted(counts)] + [f"total: {len(records)}"]
+    census = designfile.census(model.classes)
+    payload: dict[str, Any] = {"command": "classify", "census": census, "total": len(records)}
+    text_lines = [f"{k}: {n}" for k, n in census.items()] + [f"total: {len(records)}"]
     if args.witnesses:
         payload["blocks"] = [{"block": list(b), **obj} for b, obj in records]
         text_lines += [
@@ -334,24 +326,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     text = _render(payload, text_lines, args.format or ("structured" if args.out else "table"))
-    if args.out is None:
-        try:
+    try:
+        if args.out is None:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except OSError as e:  # also BrokenPipeError
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as e:  # also BrokenPipeError
+        if args.out is None:
             # the interpreter flushes stdout again at exit; point it at the
             # null device so that flush cannot fail and print a traceback
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            print(f"error: cannot write to stdout: {e}", file=sys.stderr)
-            return 2
-        return code
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        print(f"error: cannot write {'to stdout' if args.out is None else args.out}: {e}", file=sys.stderr)
         return 2
     return code
 

@@ -140,19 +140,25 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
 def rederive_block(obj: dict[str, Any], u: ProjPoint) -> Block:
     """Recompute a block from its witness object alone; ValueError when
     the object names no witness of a block for U."""
-    kind = obj["kind"]
+    kind = obj.get("kind")
     if kind == KIND_CONIC:
-        if "form" not in obj:
+        form = obj.get("form")
+        if form is None:
             raise ValueError("conic record without a form")
-        geo = conic_geometry(QuadraticForm.of(*obj["form"]))
+        if not isinstance(form, list) or not all(isinstance(c, int) for c in form):
+            raise ValueError("form must be a list of ints")
+        geo = conic_geometry(QuadraticForm.of(*form))
         if u not in geo.internal:
             raise ValueError("witness conic does not have U as an internal point")
         return tuple(sorted(p.index for p in geo.external))
     if kind not in (KIND_SYMDIFF, KIND_LINEPAIR):
         raise ValueError(f"unknown class kind {kind!r}")
-    if "lines" not in obj:
+    lines = obj.get("lines")
+    if lines is None:
         raise ValueError(f"{kind} record without lines")
-    g, h = (PLANE.parse_line(s) for s in obj["lines"])
+    if not isinstance(lines, list) or len(lines) != 2 or not all(isinstance(s, str) for s in lines):
+        raise ValueError("lines must be two coordinate strings")
+    g, h = (PLANE.parse_line(s) for s in lines)
     if g.index == h.index:
         raise ValueError("witness lines must be distinct")
     if kind == KIND_SYMDIFF:

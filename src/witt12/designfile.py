@@ -1,23 +1,22 @@
 """Serialization of a constructed design.
 
-Two renderings of the same content: a human-readable table and a
-machine-readable JSON document.  The document carries the 13 canonical
-point coordinates in index order, the index of the removed point U, the
-132 blocks in lexicographic order, and one witness object per block:
-its kind, then its form or its two lines.  A witness is that JSON
-object in memory too: a document holds the model's witnesses as they
-are, and ``design.rederive_block`` reads a parsed one directly.
-Emission is deterministic byte for byte; parsing followed by
-re-emission reproduces the input exactly.
+A design document is its JSON object, in memory as in the file: the
+format tag, the 13 canonical point coordinates, the index of the removed
+point U, the 132 blocks in lexicographic order and one witness object per
+block (its kind, then its form or its two lines).  ``render_structured``
+renders it, like every structured output of the CLI, deterministically;
+``parse_structured`` checks a file and returns its document, which
+renders back to the file's bytes when it is canonical.  ``render_table``
+gives the lines of its table.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from collections import Counter
+from typing import Any, Iterable
 
-from .checks import Record
-from .design import Block, WittModel
+from .design import WittModel
 from .plane import PLANE
 
 FORMAT_NAME = "witt12-design-v1"
@@ -27,20 +26,15 @@ class DesignFileError(ValueError):
     """Raised when a design document is structurally malformed."""
 
 
-class DesignDocument(Record):
-    points: tuple[str, ...]
-    u: int
-    blocks: tuple[Block, ...]
-    classes: tuple[dict[str, Any], ...]  # the witness objects
-
-
-def document_from_model(m: WittModel) -> DesignDocument:
-    return DesignDocument(
-        points=tuple(p.coord_str() for p in PLANE.points),
-        u=m.u.index,
-        blocks=m.blocks,
-        classes=m.classes,
-    )
+def document_from_model(m: WittModel) -> dict[str, Any]:
+    """The design document of a model, sharing no list or dict with it."""
+    return {
+        "format": FORMAT_NAME,
+        "points": [p.coord_str() for p in PLANE.points],
+        "u": m.u.index,
+        "blocks": [list(b) for b in m.blocks],
+        "classes": [{k: list(v) if isinstance(v, list) else v for k, v in c.items()} for c in m.classes],
+    }
 
 
 def witness_text(obj: dict[str, Any]) -> str:
@@ -52,14 +46,8 @@ def witness_text(obj: dict[str, Any]) -> str:
     return ""
 
 
-def render_structured(doc: DesignDocument) -> str:
-    obj = {
-        "format": FORMAT_NAME,
-        "points": list(doc.points),
-        "u": doc.u,
-        "blocks": [list(b) for b in doc.blocks],
-        "classes": list(doc.classes),
-    }
+def render_structured(obj: Any) -> str:
+    """A design document, or any structured CLI output, as JSON text."""
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -72,7 +60,9 @@ def _is_point_index(x: Any) -> bool:
     return _is_int(x) and 0 <= x < len(PLANE.points)
 
 
-def parse_structured(text: str) -> DesignDocument:
+def parse_structured(text: str) -> dict[str, Any]:
+    """The design document of a file's text, with the shape of
+    ``document_from_model``; DesignFileError when it is malformed."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -121,39 +111,33 @@ def parse_structured(text: str) -> DesignDocument:
         ):
             raise DesignFileError("lines must be two coordinate strings")
         classes.append(obj)
-    return DesignDocument(
-        points=tuple(points),
-        u=u,
-        blocks=tuple(tuple(b) for b in blocks),
-        classes=tuple(classes),
-    )
-
-
-def check_document_frame(doc: DesignDocument) -> None:
-    """Validate that the document's frame matches the canonical plane."""
-    expected = tuple(p.coord_str() for p in PLANE.points)
-    if doc.points != expected:
+    # last, so every shape error is reported first
+    if points != [p.coord_str() for p in PLANE.points]:
         raise DesignFileError("point coordinates do not match the canonical plane")
+    return {"format": FORMAT_NAME, "points": points, "u": u, "blocks": blocks, "classes": classes}
 
 
-def render_table(doc: DesignDocument) -> str:
-    lines = []
-    lines.append("small Witt design S(5,6,12) over the projective plane of order 3")
-    lines.append(f"removed point U: #{doc.u} ({doc.points[doc.u]})")
-    lines.append("")
-    lines.append("points (index: coordinates)")
-    for i, coord in enumerate(doc.points):
-        tag = "  <- U" if i == doc.u else ""
-        lines.append(f"  #{i:<2} {coord}{tag}")
-    lines.append("")
-    lines.append(f"blocks ({len(doc.blocks)}, lexicographic)")
-    for b, obj in zip(doc.blocks, doc.classes):
-        pts = " ".join(f"{x:2d}" for x in b)
-        lines.append(f"  {pts}   {obj['kind']:<22} {witness_text(obj)}")
-    counts: dict[str, int] = {}
-    for obj in doc.classes:
-        counts[obj["kind"]] = counts.get(obj["kind"], 0) + 1
-    lines.append("")
-    census = "  ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
-    lines.append(f"census: {census}")
-    return "\n".join(lines) + "\n"
+def census(classes: Iterable[dict[str, Any]]) -> dict[str, int]:
+    """The number of witnesses of each kind, by kind name."""
+    counts = Counter(c["kind"] for c in classes)
+    return {kind: counts[kind] for kind in sorted(counts)}
+
+
+def render_table(doc: dict[str, Any]) -> list[str]:
+    """The lines of a design document's table rendering."""
+    u, points, blocks, classes = doc["u"], doc["points"], doc["blocks"], doc["classes"]
+    return [
+        "small Witt design S(5,6,12) over the projective plane of order 3",
+        f"removed point U: #{u} ({points[u]})",
+        "",
+        "points (index: coordinates)",
+        *(f"  #{i:<2} {coord}{'  <- U' if i == u else ''}" for i, coord in enumerate(points)),
+        "",
+        f"blocks ({len(blocks)}, lexicographic)",
+        *(
+            f"  {' '.join(f'{x:2d}' for x in b)}   {obj['kind']:<22} {witness_text(obj)}"
+            for b, obj in zip(blocks, classes)
+        ),
+        "",
+        "census: " + "  ".join(f"{kind}={n}" for kind, n in census(classes).items()),
+    ]

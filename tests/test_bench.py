@@ -1,7 +1,10 @@
 """Tests of scripts/bench.py helpers that need no benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
@@ -36,3 +39,20 @@ def test_compare_adds_the_per_command_medians_both_trees_report():
     assert (aut["parent_median"], aut["change_median"]) == (0.2, 0.1)
     assert aut["change_over_parent"] == 0.5
     assert aut["parent_iqr"] == 0.0
+
+
+def test_a_bytecode_cache_under_src_stops_the_bench_before_any_run(tmp_path, monkeypatch, capsys):
+    parent = tmp_path / "parent"
+    cache = parent / "src" / "witt12" / "__pycache__"
+    cache.mkdir(parents=True)
+    (parent / "__pycache__").mkdir()  # outside src/, not reported
+    assert bench.bytecode_caches(parent) == [cache]
+    assert bench.bytecode_caches(tmp_path / "empty") == []
+    monkeypatch.setattr(bench, "run_once", lambda *a, **k: pytest.fail("a benchmark run started"))
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out), "--parent", str(parent)])
+    with pytest.raises(SystemExit) as e:
+        bench.main()
+    assert e.value.code == 2
+    assert f"remove the bytecode caches first: {cache}" in capsys.readouterr().err
+    assert not out.exists()

@@ -114,6 +114,11 @@ CORRUPT_WITNESSES = [
     ("unknown-kind", {"kind": "conic"}, "unknown class kind 'conic'"),
     ("missing-form", {"kind": KIND_CONIC}, "conic record without a form"),
     ("missing-lines", {"kind": KIND_LINEPAIR}, "line_pair_minus_u record without lines"),
+    ("empty-object", {}, "unknown class kind None"),
+    ("null-form", {"kind": KIND_CONIC, "form": None}, "conic record without a form"),
+    ("string-coefficient", {"kind": KIND_CONIC, "form": [1, 0, 0, "1", 0, 1]}, "form must be a list of ints"),
+    ("null-lines", {"kind": KIND_SYMDIFF, "lines": None}, "symmetric_difference record without lines"),
+    ("integer-lines", {"kind": KIND_LINEPAIR, "lines": [0, 1]}, "lines must be two coordinate strings"),
     ("bad-line-spec", {"kind": KIND_SYMDIFF, "lines": ["1:1", "#7"]}, "bad line spec '1:1'"),
     ("five-coefficients", {"kind": KIND_CONIC, "form": [1, 0, 0, 1, 0]}, "a form has six coefficients"),
     (

@@ -13,12 +13,12 @@ _spec.loader.exec_module(same_outputs)
 
 def test_command_list_covers_every_u_and_every_line_pair_in_both_formats():
     cmds = same_outputs.commands()
-    assert len(cmds) == len({tuple(c) for c in cmds}) == 480
+    assert len(cmds) == len({tuple(c) for c in cmds}) == 484
     assert Counter(c[0] for c in cmds) == {
-        "table": 2, "aut": 26, "construct": 28, "classify": 26, "verify": 32, "block": 156,
+        "table": 2, "aut": 26, "construct": 30, "classify": 26, "verify": 34, "block": 156,
         "remark3": 106, "derive": 104,
     }
-    assert Counter(c[c.index("--format") + 1] for c in cmds) == {"table": 240, "structured": 240}
+    assert Counter(c[c.index("--format") + 1] for c in cmds) == {"table": 242, "structured": 242}
     assert all("--witnesses" in c for c in cmds if c[0] == "classify")
     # five distinct points of W by both methods, three five-sets at each U
     blocks = [c for c in cmds if c[0] == "block"]
@@ -26,13 +26,17 @@ def test_command_list_covers_every_u_and_every_line_pair_in_both_formats():
     assert Counter(c[9] for c in blocks if c[8] == "--method") == {"lookup": 78, "solve": 78}
     pairs = {(c[2], c[4]) for c in cmds if c[0] == "derive"}
     assert len(pairs) == 52 and Counter(u for u, _ in pairs) == {f"#{u}": 4 for u in range(13)}
-    # the canonical file of every U, one tampered, one formless and one missing
+    # the canonical file of every U, one tampered, one formless, one reframed and one missing
     files = Counter(c[-1] for c in cmds if c[0] == "verify")
     assert files == {
-        **{f"design-{u}.json": 2 for u in range(13)}, "tampered-4.json": 2, "formless-4.json": 2, "missing.json": 2,
+        **{f"design-{u}.json": 2 for u in range(13)},
+        "tampered-4.json": 2, "formless-4.json": 2, "reframed-4.json": 2, "missing.json": 2,
     }
     # every construct writes its file, but the one with U = #13, which exits 2
     assert [c[2] for c in cmds if c[0] == "construct" and "--out" not in c] == ["#13", "#13"]
+    # and the one into a missing directory, which exits 2 too
+    outs = Counter(c[c.index("--out") + 1] for c in cmds if "--out" in c)
+    assert outs == {"out.txt": 26, "no-such-dir/out.txt": 2}
 
 
 def test_tamper_replaces_one_point_of_the_first_block():
@@ -52,3 +56,9 @@ def test_lose_form_drops_the_form_of_the_first_conic_record():
     changed = json.loads(same_outputs.lose_form(json.dumps(doc)))
     assert changed["classes"][1] == {"kind": "conic_exterior"}
     assert changed["classes"][::2] == doc["classes"][::2]
+
+
+def test_reframe_doubles_the_coordinates_of_the_first_point_only():
+    doc = {"u": 4, "points": ["0:0:1", "0:1:0", "1:2:1"]}
+    reframed = json.loads(same_outputs.reframe(json.dumps(doc)))
+    assert reframed == {"u": 4, "points": ["0:0:2", "0:1:0", "1:2:1"]}
