@@ -9,16 +9,19 @@ the sha256 of stdout (or, for ``construct --out``, of the written file):
 through three five-sets of W at each U (the first five, the last five
 and every other point of W); ``verify`` of one tampered file and of
 one file with a witness record that names no witness (exit 1), and of
-one file with a changed point coordinate (exit 2); ``remark3`` and
-``derive`` on all 52 (U, line through U) pairs; and four usage or write
-errors (exit 2): U = #13, a line not through U, a missing file and
-``construct --out`` into a missing directory; each in the table and the
-structured format: 484 command lines.  A ``verify`` line reads the file
-that its tree's own ``construct --out`` writes; the tampered copy has
-one point of its first block replaced by the least point of W outside
-it, the formless copy has lost the form of its first conic record, and
-the reframed copy writes its first point as the double of its
-coordinates.  Prints every difference and exits 1 if there is any,
+one file with a changed point coordinate and one with a bool
+coefficient (exit 2); ``remark3`` and ``derive`` on all 52 (U, line
+through U) pairs; ``block`` by both methods through a repeated point
+and through U (exit 2); and four usage or write errors (exit 2):
+U = #13, a line not through U, a missing file and ``construct --out``
+into a missing directory; each in the table and the structured format:
+494 command lines.  A ``verify`` line reads the file that its tree's own
+``construct --out`` writes; the tampered copy has one point of its
+first block replaced by the least point of W outside it, the formless
+copy has lost the form of its first conic record, the reframed copy
+writes its first point as the double of its coordinates, and the
+boolform copy writes the first coefficient of its first conic record
+as ``true``.  Prints every difference and exits 1 if there is any,
 else 0.
 
 Usage: python3 scripts/same_outputs.py PARENT_DIR
@@ -39,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("table", "structured")
 # the files verify lines read: U's canonical design, or a changed copy
-DESIGN_FILE = re.compile(r"(design|tampered|formless|reframed)-([0-9]+)\.json")
+DESIGN_FILE = re.compile(r"(design|tampered|formless|reframed|boolform)-([0-9]+)\.json")
 
 
 def commands() -> list[list[str]]:
@@ -64,9 +67,13 @@ def commands() -> list[list[str]]:
         out.append(["verify", "--format", fmt, "tampered-4.json"])
         out.append(["verify", "--format", fmt, "formless-4.json"])
         out.append(["verify", "--format", fmt, "reframed-4.json"])
+        out.append(["verify", "--format", fmt, "boolform-4.json"])
         for u, g in pairs:
             for name in ("remark3", "derive"):
                 out.append([name, "--u", f"#{u}", "--line", f"#{g}", "--format", fmt])
+        for five in (["#0", "#0", "#1", "#2", "#3"], ["#0", "#1", "#2", "#3", "#4"]):
+            for method in ("lookup", "solve"):
+                out.append(["block", *five, "--u", "#4", "--method", method, "--format", fmt])
         out.append(["construct", "--u", "#13", "--format", fmt])
         out.append(["remark3", "--u", "#4", "--line", f"#{off_4}", "--format", fmt])
         out.append(["verify", "--format", fmt, "missing.json"])
@@ -99,7 +106,15 @@ def reframe(text: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-CHANGED_COPIES = {"tampered": tamper, "formless": lose_form, "reframed": reframe}
+def bool_coefficient(text: str) -> str:
+    """The design file with the first coefficient of its first conic
+    record written as the JSON literal true."""
+    doc = json.loads(text)
+    next(c for c in doc["classes"] if c["kind"] == "conic_exterior")["form"][0] = True
+    return json.dumps(doc, indent=2) + "\n"
+
+
+CHANGED_COPIES = {"tampered": tamper, "formless": lose_form, "reframed": reframe, "boolform": bool_coefficient}
 
 
 def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:

@@ -27,7 +27,7 @@ class UsageError(ValueError):
     pass
 
 
-def _parse(parse: Callable[[str], Any], spec: str) -> Any:
+def _parse(parse: Callable[[Any], Any], spec: Any) -> Any:
     try:
         return parse(spec)
     except ValueError as e:
@@ -115,10 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 def cmd_block(args: argparse.Namespace) -> Output:
     u = _parse_u(args.u)
     idxs = [_parse(PLANE.parse_point, s).index for s in args.points]
-    if len(set(idxs)) != 5:
-        raise UsageError("the five points must be distinct")
-    if u.index in idxs:
-        raise UsageError("the removed point U cannot lie in a block")
+    idxs = _parse(lambda five: design.validated_five(five, u), idxs)
     if args.method == "lookup":
         block = design.block_through(design.construct(u), idxs)
         payload = {"command": "block", "method": "lookup", "block": list(block)}

@@ -14,12 +14,15 @@ shapes, each carrying a re-derivable witness:
 
 A witness is its JSON object, in memory as in a design file: its kind,
 then the six coefficients of the conic's form or the duals of the two
-lines.  ``rederive_block`` is the one reader of a witness's kind.
+lines.  ``rederive_block`` is the one reader of a witness's kind, and
+``shaped_witness`` the one check of its fields' shape, for a design file
+and a library caller alike.
 
 The solver finds the unique block through five given points of W from
 the five linear conditions q(d) = 2 q(U) on the six coefficients of q,
-without consulting the constructed block list.  The lookup reads the
+without consulting the constructed block list; the lookup reads the
 sixth-point table (checks.completion_table) the automorphisms force with.
+Both, like the CLI, check the five points with ``validated_five``.
 """
 
 from __future__ import annotations
@@ -137,28 +140,43 @@ def construct(u: ProjPoint = DEFAULT_U) -> WittModel:
     )
 
 
-def rederive_block(obj: dict[str, Any], u: ProjPoint) -> Block:
+def is_int(x: Any) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def shaped_witness(obj: dict[str, Any]) -> dict[str, Any]:
+    """A witness object in a constructed one's key order (kind, then form or
+    lines), without nulls or other keys; ValueError when a field is misshapen."""
+    shaped = {"kind": obj.get("kind")}
+    shaped.update((k, obj[k]) for k in ("form", "lines") if obj.get(k) is not None)
+    form, lines = shaped.get("form"), shaped.get("lines")
+    if form is not None and (not isinstance(form, list) or not all(is_int(c) for c in form)):
+        raise ValueError("form must be a list of ints")
+    if lines is not None and (
+        not isinstance(lines, list) or len(lines) != 2 or not all(isinstance(s, str) for s in lines)
+    ):
+        raise ValueError("lines must be two coordinate strings")
+    return shaped
+
+
+def rederive_block(obj: Any, u: ProjPoint) -> Block:
     """Recompute a block from its witness object alone; ValueError when
     the object names no witness of a block for U."""
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in (KIND_CONIC, KIND_SYMDIFF, KIND_LINEPAIR):
+        raise ValueError(f"unknown class kind {kind!r}")
+    obj = shaped_witness(obj)
     if kind == KIND_CONIC:
-        form = obj.get("form")
-        if form is None:
+        if "form" not in obj:
             raise ValueError("conic record without a form")
-        if not isinstance(form, list) or not all(isinstance(c, int) for c in form):
-            raise ValueError("form must be a list of ints")
-        geo = conic_geometry(QuadraticForm.of(*form))
+        geo = conic_geometry(QuadraticForm.of(*obj["form"]))
         if u not in geo.internal:
             raise ValueError("witness conic does not have U as an internal point")
         return tuple(sorted(p.index for p in geo.external))
-    if kind not in (KIND_SYMDIFF, KIND_LINEPAIR):
-        raise ValueError(f"unknown class kind {kind!r}")
-    lines = obj.get("lines")
-    if lines is None:
+    if "lines" not in obj:
         raise ValueError(f"{kind} record without lines")
-    if not isinstance(lines, list) or len(lines) != 2 or not all(isinstance(s, str) for s in lines):
-        raise ValueError("lines must be two coordinate strings")
-    g, h = (PLANE.parse_line(s) for s in lines)
+    g, h = (PLANE.parse_line(s) for s in obj["lines"])
     if g.index == h.index:
         raise ValueError("witness lines must be distinct")
     if kind == KIND_SYMDIFF:
@@ -171,10 +189,10 @@ def rederive_block(obj: dict[str, Any], u: ProjPoint) -> Block:
     return tuple(sorted(union - {u.index}))
 
 
-def _validated_five(d: Iterable[int], u: ProjPoint) -> tuple[int, ...]:
+def validated_five(d: Iterable[int], u: ProjPoint) -> tuple[int, ...]:
     pts = tuple(sorted(d))
     if len(pts) != 5 or len(set(pts)) != 5:
-        raise ValueError("expected five distinct points")
+        raise ValueError("the five points must be distinct")
     if any(not 0 <= x < len(PLANE.points) for x in pts):
         raise ValueError("point index out of range")
     if u.index in pts:
@@ -184,7 +202,7 @@ def _validated_five(d: Iterable[int], u: ProjPoint) -> tuple[int, ...]:
 
 def block_through(m: WittModel, d: Iterable[int]) -> Block:
     """The unique block containing five given points of W (by lookup)."""
-    pts = _validated_five(d, m.u)
+    pts = validated_five(d, m.u)
     x = m.sixth[sum(1 << m.w_position[p] for p in pts)]
     return tuple(sorted((*pts, m.w[x])))
 
@@ -215,7 +233,7 @@ def solve_block_through(d: Iterable[int], u: ProjPoint = DEFAULT_U) -> BlockSolu
     line pair through U (case B); otherwise the 5x6 system has a unique
     projective solution with q(U) != 0 (case A).
     """
-    pts = _validated_five(d, u)
+    pts = validated_five(d, u)
     urow = MONOMIALS[u.index]
     rows = [tuple((a + b) % MOD for a, b in zip(MONOMIALS[i], urow)) for i in pts]
     system = Mat.from_rows(rows)

@@ -5,9 +5,10 @@ format tag, the 13 canonical point coordinates, the index of the removed
 point U, the 132 blocks in lexicographic order and one witness object per
 block (its kind, then its form or its two lines).  ``render_structured``
 renders it, like every structured output of the CLI, deterministically;
-``parse_structured`` checks a file and returns its document, which
-renders back to the file's bytes when it is canonical.  ``render_table``
-gives the lines of its table.
+``parse_structured`` checks a file's frame, has ``design.shaped_witness``
+check each witness, and returns its document, which renders back to the
+file's bytes when it is canonical.  ``render_table`` gives the lines of
+its table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from collections import Counter
 from typing import Any, Iterable
 
-from .design import WittModel
+from .design import WittModel, is_int, shaped_witness
 from .plane import PLANE
 
 FORMAT_NAME = "witt12-design-v1"
@@ -51,13 +52,8 @@ def render_structured(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _is_int(x: Any) -> bool:
-    # JSON true and false load as bools, which are ints to isinstance
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_point_index(x: Any) -> bool:
-    return _is_int(x) and 0 <= x < len(PLANE.points)
+    return is_int(x) and 0 <= x < len(PLANE.points)
 
 
 def parse_structured(text: str) -> dict[str, Any]:
@@ -95,22 +91,10 @@ def parse_structured(text: str) -> dict[str, Any]:
     for entry in classes_raw:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise DesignFileError("each class needs a kind")
-        # in a constructed witness's key order, without nulls or other keys, so a
-        # parsed document equals the document it was rendered from
-        obj = {"kind": entry["kind"]}
-        obj.update((k, entry[k]) for k in ("form", "lines") if entry.get(k) is not None)
-        form, lines = obj.get("form"), obj.get("lines")
-        if form is not None and (
-            not isinstance(form, list) or not all(_is_int(x) for x in form)
-        ):
-            raise DesignFileError("form must be a list of ints")
-        if lines is not None and (
-            not isinstance(lines, list)
-            or len(lines) != 2
-            or not all(isinstance(x, str) for x in lines)
-        ):
-            raise DesignFileError("lines must be two coordinate strings")
-        classes.append(obj)
+        try:
+            classes.append(shaped_witness(entry))
+        except ValueError as e:
+            raise DesignFileError(str(e)) from None
     # last, so every shape error is reported first
     if points != [p.coord_str() for p in PLANE.points]:
         raise DesignFileError("point coordinates do not match the canonical plane")

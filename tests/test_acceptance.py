@@ -196,6 +196,22 @@ def test_11_report_script():
     print("\nPASS 11: scripts/run_all_checks.py exits 0 with 0 failures")
 
 
+def test_11_report_script_under_optimize_at_another_u():
+    # the checks are not asserts, and U = #4 is not the only point they pass at
+    src = os.path.dirname(os.path.dirname(witt12.__file__))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_checks.py"
+    p = subprocess.run(
+        [sys.executable, "-O", str(script), "--u", "#0"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=600,
+    )
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert "\n  0 failures," in p.stdout
+    print("\nPASS 11: scripts/run_all_checks.py under python -O at U = #0 exits 0 with 0 failures")
+
+
 def test_11_report_script_rejects_a_bad_u():
     # a bad spec is a usage error (exit 2), not a failed check (exit 1)
     src = os.path.dirname(os.path.dirname(witt12.__file__))

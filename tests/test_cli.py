@@ -192,6 +192,20 @@ def test_block_rejects_repeats(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["lookup", "solve"])
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (["#2", "#2", "#5", "#6", "#7"], "the five points must be distinct"),
+        (["#2", "#3", "#5", "#6", "1:0:0"], "the removed point U cannot lie in a block"),
+    ],
+    ids=["repeat", "u"],
+)
+def test_block_states_the_five_point_rule_by_either_method(capsys, method, points, message):
+    code, out, err = run(capsys, "block", "--method", method, *points)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_block_rejects_bad_coordinates(capsys):
     code, _, err = run(capsys, "block", "#2", "#3", "#5", "#6", "0:0:0")
     assert code == 2

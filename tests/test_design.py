@@ -29,6 +29,7 @@ from witt12.design import (
     rederive_block,
     solve_block_through,
 )
+from witt12.designfile import DesignFileError, document_from_model, parse_structured, render_structured
 from witt12.plane import PLANE
 from witt12.quadrics import QuadraticForm, form_pair_representatives
 from witt12.symmetry import point_map
@@ -135,13 +136,61 @@ CORRUPT_WITNESSES = [
     ("line-pair-repeated-line", {"kind": KIND_LINEPAIR, "lines": ["#7", "#7"]}, "witness lines must be distinct"),
     ("symdiff-line-through-u", {"kind": KIND_SYMDIFF, "lines": ["#0", "#7"]}, "witness lines must avoid U"),
     ("line-pair-misses-u", {"kind": KIND_LINEPAIR, "lines": ["#5", "#7"]}, "witness line pair must pass through U"),
+    # a JSON true is a bool, not a coefficient, in the library as in a file
+    ("bool-coefficient", {"kind": KIND_CONIC, "form": [True, 0, 2, 2, 1, 2]}, "form must be a list of ints"),
+    ("not-an-object", ["kind"], "unknown class kind None"),
+    (
+        "conic-with-integer-lines",  # a sound form does not excuse a malformed lines field
+        {"kind": KIND_CONIC, "form": [1, 0, 0, 1, 0, 1], "lines": 5},
+        "lines must be two coordinate strings",
+    ),
 ]
+# the messages of the one witness-shape rule, design.shaped_witness
+FIELD_SHAPE_MESSAGES = {"form must be a list of ints", "lines must be two coordinate strings"}
 
 
 @pytest.mark.parametrize("obj, message", [pytest.param(*c[1:], id=c[0]) for c in CORRUPT_WITNESSES])
 def test_rederive_rejects_corrupt_witnesses(model, obj, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         rederive_block(obj, model.u)
+
+
+@pytest.mark.parametrize("obj", [pytest.param(c[1], id=c[0]) for c in CORRUPT_WITNESSES])
+def test_a_file_and_the_library_apply_one_witness_shape_rule(model, obj):
+    # the witness in place of the first class of the canonical U = #4 file
+    doc = document_from_model(model)
+    doc["classes"][0] = obj
+    try:
+        parse_structured(render_structured(doc))
+        file_message = None
+    except DesignFileError as e:
+        file_message = str(e)
+    try:
+        rederive_block(obj, model.u)
+        library_message = None
+    except ValueError as e:
+        library_message = str(e)
+    if file_message is not None:
+        assert library_message is not None
+    if library_message in FIELD_SHAPE_MESSAGES:
+        assert file_message == library_message
+
+
+@pytest.mark.parametrize(
+    "five, message",
+    [
+        ((2, 2, 5, 6, 7), "the five points must be distinct"),
+        ((2, 3, 5, 6), "the five points must be distinct"),
+        ((2, 3, 5, 6, 4), "the removed point U cannot lie in a block"),
+        ((2, 3, 5, 6, 13), "point index out of range"),
+    ],
+    ids=["repeat", "four", "u", "out-of-range"],
+)
+def test_both_block_methods_state_the_five_point_rule(model, five, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        block_through(model, five)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_block_through(five, model.u)
 
 
 def test_block_through_validation(model):
