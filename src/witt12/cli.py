@@ -115,6 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
 def cmd_block(args: argparse.Namespace) -> Output:
     u = _parse_u(args.u)
     idxs = [_parse(PLANE.parse_point, s).index for s in args.points]
+    # checked here as well as in design, so the lookup builds no model for bad input
     idxs = _parse(lambda five: design.validated_five(five, u), idxs)
     if args.method == "lookup":
         block = design.block_through(design.construct(u), idxs)

@@ -14,15 +14,14 @@ shapes, each carrying a re-derivable witness:
 
 A witness is its JSON object, in memory as in a design file: its kind,
 then the six coefficients of the conic's form or the duals of the two
-lines.  ``rederive_block`` is the one reader of a witness's kind, and
-``shaped_witness`` the one check of its fields' shape, for a design file
-and a library caller alike.
+lines.  ``rederive_block`` is the one reader of its kind, ``shaped_witness``
+the one check of its fields' shape, for a file and a library caller alike.
 
 The solver finds the unique block through five given points of W from
 the five linear conditions q(d) = 2 q(U) on the six coefficients of q,
 without consulting the constructed block list; the lookup reads the
-sixth-point table (checks.completion_table) the automorphisms force with.
-Both, like the CLI, check the five points with ``validated_five``.
+sixth-point table (checks.completion_table) the automorphisms force with;
+both, like the CLI, check the five points with ``validated_five``.
 """
 
 from __future__ import annotations
@@ -191,7 +190,9 @@ def rederive_block(obj: Any, u: ProjPoint) -> Block:
 
 def validated_five(d: Iterable[int], u: ProjPoint) -> tuple[int, ...]:
     pts = tuple(sorted(d))
-    if len(pts) != 5 or len(set(pts)) != 5:
+    if len(pts) != 5:
+        raise ValueError("expected five points")
+    if len(set(pts)) != 5:
         raise ValueError("the five points must be distinct")
     if any(not 0 <= x < len(PLANE.points) for x in pts):
         raise ValueError("point index out of range")

@@ -180,11 +180,12 @@ def test_a_file_and_the_library_apply_one_witness_shape_rule(model, obj):
     "five, message",
     [
         ((2, 2, 5, 6, 7), "the five points must be distinct"),
-        ((2, 3, 5, 6), "the five points must be distinct"),
+        ((2, 3, 5, 6), "expected five points"),
+        ((2, 3, 5, 6, 7, 8), "expected five points"),
         ((2, 3, 5, 6, 4), "the removed point U cannot lie in a block"),
         ((2, 3, 5, 6, 13), "point index out of range"),
     ],
-    ids=["repeat", "four", "u", "out-of-range"],
+    ids=["repeat", "four", "six", "u", "out-of-range"],
 )
 def test_both_block_methods_state_the_five_point_rule(model, five, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
