@@ -19,9 +19,8 @@ the one check of its fields' shape, for a file and a library caller alike.
 
 The solver finds the unique block through five given points of W from
 the five linear conditions q(d) = 2 q(U) on the six coefficients of q,
-without consulting the constructed block list; the lookup reads the
-sixth-point table (checks.completion_table) the automorphisms force with;
-both, like the CLI, check the five points with ``validated_five``.
+without consulting the constructed block list.  The lookup reads the
+sixth-point table (checks.completion_table) the automorphisms force with.
 """
 
 from __future__ import annotations

@@ -70,7 +70,11 @@ def parse_structured(text: str) -> dict[str, Any]:
     if obj.get("format") != FORMAT_NAME:
         raise DesignFileError(f"unknown format tag {obj.get('format')!r}")
     points = obj.get("points")
-    if not isinstance(points, list) or len(points) != 13 or not all(isinstance(p, str) for p in points):
+    if (
+        not isinstance(points, list)
+        or len(points) != 13
+        or not all(isinstance(p, str) for p in points)
+    ):
         raise DesignFileError("points must be 13 coordinate strings")
     u = obj.get("u")
     if not _is_point_index(u):
