@@ -40,6 +40,7 @@ from witt12.quadrics import (
 )
 from witt12.symmetry import (
     automorphism_group,
+    group_closure,
     induced_permutation,
     stabilizer_of,
     verify_extension_formula,
@@ -151,6 +152,7 @@ def main(argv=None):
     summary = automorphism_group(model)
     print(f"  order: {summary.order}, generators: {len(summary.generators)}")
     check(summary.order == 95040, "group order 95040")
+    check(len(group_closure(summary.generators)) == 95040, "the generators close to 95040 automorphisms")
     check(summary.sharply_5_transitive, "sharply 5-transitive")
 
     section("derivations at the three points of a line through U")

@@ -19,13 +19,11 @@ certified stabilizer chain of positions 0..4, proving the group sharply
 5-transitive of order 12*11*10*9*8; products along the chain list the
 group, and five look-ups give the automorphism extending an affinity
 (Remark 3).  The reported generating pair is certified against the
-chain's order.  The chain proves the group transitive, so a pair whose
-orbit of one point misses another generates a proper subgroup and is
-skipped.  For the others a deterministic Schreier-Sims stops once its
-product of basic orbit lengths, a lower bound on the order of the
-pair's group, reaches the chain's order: then the pair generates the
-whole group.  The affinities of a residue are the engine's completions
-of the empty frame.
+chain's order by Schreier's lemma down the base 0, 1, 2, ...: the order
+of a pair's group is the product of its basic orbit lengths, and the
+pair generates the whole group when that product is the chain's order.
+The affinities of a residue are the engine's completions of the empty
+frame.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .checks import InvariantError, Record, affine_residue, complete_maps, completion_table, require
 from .design import WittModel
@@ -178,74 +176,32 @@ def group_closure(generators: Sequence[Perm]) -> set[Perm]:
     return seen
 
 
-def _running_orders(generators: Sequence[Perm]) -> Iterator[int]:
-    """The product of the basic orbit lengths of a deterministic
-    Schreier-Sims, after each new strong generator: an increasing
-    sequence of lower bounds on the group's order, ending at the order.
-
-    Level i holds the strong generators fixing base[:i] and a
-    transversal of their orbit of base[i].  Every Schreier generator of
-    a level must sift to the identity through the levels below it; one
-    that does not is a new strong generator.  It fixes base[:j], where j
-    is the level its sift stopped at, so it joins the generating set of
-    every level 0..j, and checking resumes at level j.
+def _generated_order(generators: Sequence[Perm]) -> int:
+    """The order of the group the permutations generate, by Schreier's
+    lemma down the base 0, 1, 2, ...: the order of the group fixing
+    0..b-1 is the length of b's orbit times the order of b's stabilizer,
+    which the Schreier generators u_x s u_{s[x]}^-1 generate (s a
+    generator, u_x the transversal element sending b to x).  Every
+    Schreier generator is kept, unsifted, so this is meant for small
+    groups, such as the subgroups of the design's automorphism group,
+    whose stabilizer of 0..4 is trivial.
     """
-    if not generators:
-        return
     ident = identity_perm(len(generators[0]))
-    base: list[int] = []
-    strong: list[list[Perm]] = []
-    # trans[i][x]: (u, u^-1) with u in <strong[i]> sending base[i] to x
-    trans: list[dict[int, tuple[Perm, Perm]]] = []
-
-    def sift(g: Perm) -> tuple[Perm, int]:
-        for i, b in enumerate(base):
-            u = trans[i].get(g[b])
-            if u is None:
-                return g, i
-            g = compose_perm(g, u[1])
-        return g, len(base)
-
-    def add(g: Perm, depth: int) -> None:
-        if depth == len(base):
-            base.append(next(x for x, y in enumerate(g) if x != y))
-            strong.append([])
-            trans.append({})
-        for i in range(depth + 1):
-            strong[i].append(g)
-            t = {base[i]: (ident, ident)}
-            orbit = [base[i]]
-            for x in orbit:
-                for s in strong[i]:
-                    if s[x] not in t:
-                        u = compose_perm(t[x][0], s)
-                        t[s[x]] = (u, invert_perm(u))
-                        orbit.append(s[x])
-            trans[i] = t
-
-    def unsifted(i: int) -> tuple[Perm, int] | None:
-        t = trans[i]
-        for x, (u, _) in t.items():
-            for s in strong[i]:
-                h, j = sift(compose_perm(compose_perm(u, s), t[s[x]][1]))
-                if h != ident:
-                    return h, j
-        return None
-
-    for g in generators:
-        h, j = sift(g)
-        if h != ident:
-            add(h, j)
-            yield prod(map(len, trans))
-    i = len(base) - 1
-    while i >= 0:
-        found = unsifted(i)
-        if found is None:
-            i -= 1
-        else:
-            add(*found)
-            yield prod(map(len, trans))
-            i = found[1]
+    gens = set(generators) - {ident}
+    order, b = 1, 0
+    while gens:
+        reps = {b: ident}  # reps[x] sends b to x
+        orbit = [b]
+        for x in orbit:
+            for s in gens:
+                if s[x] not in reps:
+                    reps[s[x]] = compose_perm(reps[x], s)
+                    orbit.append(s[x])
+        order *= len(orbit)
+        inverse = {x: invert_perm(u) for x, u in reps.items()}
+        gens = {compose_perm(compose_perm(reps[x], s), inverse[s[x]]) for x in orbit for s in gens} - {ident}
+        b += 1
+    return order
 
 
 class GroupSummary(Record):
@@ -260,13 +216,10 @@ def automorphism_group(m: WittModel) -> GroupSummary:
     chain = _chain(m)
     order = prod(len(level) for level in chain)
     # the level-0 rows are the lexicographically least automorphism with
-    # each image of point 0; the first pair generating a group of the
-    # chain's order is the whole group (see the module docstring)
+    # each image of point 0; the first pair whose group has the chain's
+    # order, by Schreier's lemma down the base 0, 1, 2, ..., is the whole group
     for pair in combinations(chain[0][1:], 2):
-        orbit = [0]
-        for x in orbit:
-            orbit.extend(y for y in {g[x] for g in pair} if y not in orbit)
-        if len(orbit) == 12 and order in _running_orders(pair):
+        if _generated_order(pair) == order:
             return GroupSummary(order, pair, order == 12 * 11 * 10 * 9 * 8)
     raise InvariantError("no generating pair among the coset leaders: invariant broken")
 

@@ -4,16 +4,17 @@ The automorphism list is re-verified here with machinery the search
 never touches: a vectorized block-image comparison over all 95040
 candidates, and a full 9!-scan oracle for the affinities of two lines,
 one of each residue shape.  The group order and transitivity degree are
-pinned, and the Schreier-Sims order is checked against the closure of
-the generators.  Each Remark 3 extension, read off the stabilizer chain,
-is checked against the full enumeration as the reference, and each
-line's table of collineations against the independent backtracking
-over affinities.
+pinned, and the group order by Schreier's lemma down the base 0, 1,
+2, ... is checked against the closure of the generators.  Each Remark 3
+extension, read off the stabilizer chain, is checked against the full
+enumeration as the reference, and each line's table of collineations
+against the independent backtracking over affinities.
 """
 
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -59,9 +60,16 @@ def preserves_blocks(m, perm):
 
 
 def group_order(generators):
-    """Order of the group the permutations generate: the last, and
-    largest, of a deterministic Schreier-Sims's running products."""
-    return max(symmetry._running_orders(generators), default=1)
+    """Order of the group the permutations generate, by Schreier's lemma
+    down the base 0, 1, 2, ..."""
+    return symmetry._generated_order(generators)
+
+
+def orbit_of_0(generators):
+    orbit = {0}
+    while more := {g[x] for g in generators for x in orbit} - orbit:
+        orbit |= more
+    return orbit
 
 
 # ---------------------------------------------------------------- collineations
@@ -237,31 +245,36 @@ def test_all_automorphisms_are_pinned(u):
 
 
 def test_generating_pair_is_required(model, monkeypatch):
-    # running orders that never grow: no pair of coset leaders reaches the order
-    monkeypatch.setattr(symmetry, "_running_orders", lambda gens: iter([1]))
+    # an order that is never reached: no pair of coset leaders generates the group
+    monkeypatch.setattr(symmetry, "_generated_order", lambda gens: 1)
     with pytest.raises(InvariantError, match="^no generating pair among the coset leaders"):
         symmetry.automorphism_group(model)
 
 
 @pytest.mark.parametrize("u", range(13))
 def test_generators_are_the_first_leader_pair_of_full_order(u):
+    # the full order is taken from the closure inside the listed group,
+    # not from the routine that automorphism_group runs
     m = construct(PLANE.points[u])
+    ambient = symmetry.all_automorphisms(m)
     pairs = itertools.combinations(symmetry._chain(m)[0][1:], 2)
-    assert symmetry.automorphism_group(m).generators == next(p for p in pairs if group_order(p) == 95040)
+    expected = next(p for p in pairs if closure_order(p, ambient) == 95040)
+    assert symmetry.automorphism_group(m).generators == expected
 
 
-def test_a_transitive_proper_subgroup_is_rejected_by_schreier_sims(monkeypatch):
-    # at U = #7 the fourth leader pair is transitive on W but generates a
-    # group of order 7920: the orbit filter passes it, the order rejects it
+def test_a_transitive_proper_subgroup_is_rejected_by_schreier_sims():
+    # at U = #7 the first three leader pairs are intransitive on W and the
+    # fourth is transitive but generates a group of order 7920: only the
+    # order tells it from the fifth, which generates the whole group
     m = construct(PLANE.points[7])
+    ambient = symmetry.all_automorphisms(m)
     pairs = list(itertools.combinations(symmetry._chain(m)[0][1:], 2))
-    sifted = []
-    running = symmetry._running_orders
-    monkeypatch.setattr(symmetry, "_running_orders", lambda gens: sifted.append(gens) or running(gens))
     assert symmetry.automorphism_group(m).generators == pairs[4]
-    assert sifted == pairs[3:5]  # the three intransitive pairs never reach Schreier-Sims
-    monkeypatch.undo()
-    assert group_order(pairs[3]) == 7920
+    for pair in pairs[:3]:
+        assert len(orbit_of_0(pair)) < 12
+        assert group_order(pair) == closure_order(pair, ambient) < 95040
+    assert len(orbit_of_0(pairs[3])) == 12
+    assert group_order(pairs[3]) == closure_order(pairs[3], ambient) == 7920
 
 
 def test_automorphism_group_never_closes(monkeypatch):
@@ -272,7 +285,7 @@ def test_automorphism_group_never_closes(monkeypatch):
     assert calls == []
 
 
-# ------------------------------------------------------------- Schreier-Sims
+# ------------------------------------------------------------ Schreier's lemma
 
 
 def closure_order(generators, ambient):
@@ -319,6 +332,16 @@ def test_group_order_of_every_leader_pair(u):
 def test_group_order_of_random_subgroups(gens):
     ambient = np.array(list(itertools.permutations(range(len(gens[0])))))
     assert group_order(gens) == len(group_closure(gens)) == closure_order(gens, ambient)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_group_order_of_random_subgroups_of_the_automorphism_group(autos, seed):
+    # one to three automorphisms at U = #4, not a leader pair: subgroups
+    # of orders 2 to 95040 on 12 points, where the draws from S_n (n <= 7)
+    # above never go
+    rng = random.Random(seed)
+    gens = [tuple(int(x) for x in autos[i]) for i in rng.sample(range(len(autos)), rng.randint(1, 3))]
+    assert group_order(gens) == closure_order(gens, autos)
 
 
 def test_group_order_of_s12_and_a12():
