@@ -37,10 +37,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# per-command latency medians perfbench reports beside the end-to-end metrics
-COMMAND_P50S = (
-    "aut_p50_s", "remark3_p50_s", "construct_p50_s", "verify_p50_s", "reject_p50_s", "solve_cmd_p50_s",
-)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -89,11 +85,12 @@ def summarise(runs: list[dict]) -> dict:
 def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
     """Per metric: pairs this tree won, the ratio of medians, the parent's IQR.
 
-    The per-command medians that both trees report join the given
-    metrics, lower being better, so the file shows which command moved.
+    Every latency median (a ``*_p50_s`` metric, such as ``aut_p50_s``)
+    that both trees report joins the given metrics, lower being better,
+    so the file shows which command moved.
     """
     both = parent["per_seed"].keys() & change["per_seed"].keys()
-    better = {**better, **{k: "lower" for k in COMMAND_P50S if k in both}}
+    better = {**{k: "lower" for k in both if k.endswith("_p50_s")}, **better}
     out = {}
     for k, direction in better.items():
         pv, cv = parent["per_seed"][k], change["per_seed"][k]

@@ -11,6 +11,8 @@ each block's witness in it, from which ``rederive_block`` derives the
 block; ``render_structured`` renders every structured output.
 """
 
+import types
+
 from .checks import (
     DesignParams,
     DesignViolation,
@@ -60,48 +62,5 @@ from .symmetry import (
     verify_extension_formula,
 )
 
-__all__ = [
-    "PLANE",
-    "Block",
-    "BlockSolution",
-    "ConicGeometry",
-    "DesignFileError",
-    "DesignParams",
-    "DesignViolation",
-    "GroupSummary",
-    "IncidenceStructure",
-    "PlaneModel",
-    "ProjLine",
-    "ProjPoint",
-    "QuadraticForm",
-    "QuadricType",
-    "WittModel",
-    "affine_residue",
-    "affinities",
-    "all_automorphisms",
-    "as_incidence_structure",
-    "automorphism_group",
-    "block_of_form",
-    "block_through",
-    "canonical_table",
-    "classify",
-    "collinear_triple_in",
-    "conic_geometry",
-    "construct",
-    "derived_design",
-    "document_from_model",
-    "evaluate",
-    "extend_affinity",
-    "induced_permutation",
-    "lambda_cascade",
-    "level_set",
-    "normalize",
-    "parse_structured",
-    "rederive_block",
-    "render_structured",
-    "render_table",
-    "solve_block_through",
-    "stabilizer_of",
-    "verify_extension_formula",
-    "verify_t_design",
-]
+# the imports above are the one list of exports: every public name bound here but the modules
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, types.ModuleType))

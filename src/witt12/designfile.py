@@ -39,12 +39,10 @@ def document_from_model(m: WittModel) -> dict[str, Any]:
 
 
 def witness_text(obj: dict[str, Any]) -> str:
-    """A witness object as table text: 'form a,b,...' or 'lines x y'."""
+    """A shaped witness (it has a form or two lines) as table text: 'form a,b,...' or 'lines x y'."""
     if "form" in obj:
         return f"form {','.join(str(c) for c in obj['form'])}"
-    if "lines" in obj:
-        return f"lines {obj['lines'][0]} {obj['lines'][1]}"
-    return ""
+    return f"lines {obj['lines'][0]} {obj['lines'][1]}"
 
 
 def render_structured(obj: Any) -> str:

@@ -76,8 +76,10 @@ class PlaneModel:
         self.points: tuple[ProjPoint, ...] = tuple(
             ProjPoint(i, t) for i, t in enumerate(triples)
         )
-        self._point_index: dict[tuple[int, int, int], int] = {
-            t: i for i, t in enumerate(triples)
+        # each nonzero triple to the index of its point, which is also the
+        # index of the line with that dual: both are numbered by `triples`
+        self.index_of: dict[tuple[int, ...], int] = {
+            tuple(c * x % MOD for x in t): i for i, t in enumerate(triples) for c in (1, 2)
         }
         lines = []
         for i, d in enumerate(triples):
@@ -85,19 +87,16 @@ class PlaneModel:
             require(len(on) == LINE_SIZE, "a line without four points")
             lines.append(ProjLine(i, d, on))
         self.lines: tuple[ProjLine, ...] = tuple(lines)
-        self._line_index: dict[tuple[int, int, int], int] = {
-            ln.dual: ln.index for ln in self.lines
-        }
         self._lines_through: tuple[tuple[int, ...], ...] = tuple(
             tuple(ln.index for ln in self.lines if p.index in ln.points)
             for p in self.points
         )
 
     def point_from_vec(self, v: Sequence[int]) -> ProjPoint:
-        return self.points[self._point_index[normalize(v)]]
+        return self.points[self.index_of[normalize(v)]]
 
     def line_from_dual(self, v: Sequence[int]) -> ProjLine:
-        return self.lines[self._line_index[normalize(v)]]
+        return self.lines[self.index_of[normalize(v)]]
 
     def lines_through(self, p: ProjPoint) -> tuple[ProjLine, ...]:
         return tuple(self.lines[i] for i in self._lines_through[p.index])

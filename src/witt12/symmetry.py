@@ -45,14 +45,14 @@ Matrix3 = tuple[tuple[int, int, int], ...]
 
 
 _REPS = tuple(p.rep for p in PLANE.points)
-_POINT_OF = {tuple(c * x % MOD for x in v): i for i, v in enumerate(_REPS) for c in (1, 2)}
 
 
 def point_map(mx: Matrix3) -> tuple[int, ...]:
     """Images of all 13 points, by index, read off all 26 nonzero vectors."""
     (a, b, c), (d, e, f), (g, h, i) = mx
+    index_of = PLANE.index_of
     return tuple(
-        _POINT_OF[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
+        index_of[(x * a + y * d + z * g) % MOD, (x * b + y * e + z * h) % MOD, (x * c + y * f + z * i) % MOD]
         for x, y, z in _REPS
     )
 

@@ -86,6 +86,11 @@ def test_verifier_argument_errors(witt):
         verify_t_design(IncidenceStructure((1, 2), ()), 1)
 
 
+def test_verifier_rejects_a_structure_without_points():
+    with pytest.raises(ValueError, match="^structure has no points$"):
+        verify_t_design(IncidenceStructure((), ((),)), 1)
+
+
 def naive_count(blocks, subset):
     return sum(1 for b in blocks if set(subset) <= set(b))
 

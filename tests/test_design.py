@@ -50,6 +50,11 @@ def test_frozen_block_examples(model):
     assert block_of_form(QuadraticForm.of(0, 0, 0, 1, 0, 1), model.u) is None
 
 
+def test_the_zero_form_defines_no_block(model):
+    with pytest.raises(ValueError, match="^the zero form defines no block$"):
+        block_of_form(QuadraticForm.of(0, 0, 0, 0, 0, 0), model.u)
+
+
 def test_block_of_form_constant_on_pair_classes(model):
     for q in form_pair_representatives():
         assert block_of_form(q, model.u) == block_of_form(QuadraticForm.of(*(2 * c for c in q.coeffs)), model.u)

@@ -113,6 +113,18 @@ def test_frame_check(text):
         parse_structured(json.dumps(bad))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [None, "1:0:0", ["0:0:1"] * 12, [[0, 0, 1]] * 13],
+    ids=["missing", "string", "twelve", "lists"],
+)
+def test_points_must_be_13_coordinate_strings(text, points):
+    bad = json.loads(text)
+    bad["points"] = points
+    with pytest.raises(DesignFileError, match="^points must be 13 coordinate strings$"):
+        parse_structured(json.dumps(bad))
+
+
 def test_census_counts_each_kind_in_name_order(doc):
     counts = census(doc["classes"])
     assert counts == {"conic_exterior": 54, "line_pair_minus_u": 42, "symmetric_difference": 36}

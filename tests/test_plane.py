@@ -10,6 +10,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,6 +106,27 @@ def test_normalize_rejects_zero():
         normalize((0, 0, 0))
 
 
+@pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 1)])
+def test_normalize_rejects_a_non_triple(v):
+    with pytest.raises(ValueError, match="^expected a coordinate triple$"):
+        normalize(v)
+
+
+def test_index_of_numbers_each_nonzero_triple_by_its_point():
+    table = PLANE.index_of
+    assert len(table) == 26
+    assert set(table) == {v for v in itertools.product(range(3), repeat=3) if any(v)}
+    for p in PLANE.points:
+        assert table[p.rep] == table[tuple(2 * x % 3 for x in p.rep)] == p.index
+
+
+@given(nonzero_vectors())
+def test_points_and_lines_read_the_one_index_table(v):
+    # a point and the line with the same dual triple share one index
+    i = PLANE.index_of[normalize(v)]
+    assert PLANE.point_from_vec(v).index == PLANE.line_from_dual(v).index == i
+
+
 def test_incidence_is_orthogonality():
     for p in PLANE.points:
         for ln in PLANE.lines:
@@ -150,6 +172,16 @@ def test_parse_line():
             PLANE.parse_line(bad)
 
 
+# int() reads at most 4300 digits by default and raises ValueError beyond,
+# which the parser reports as a bad spec like any other
+@pytest.mark.parametrize("spec", ["#" + "1" * 4301, "1" * 4301 + ":0:0"], ids=["index", "coordinates"])
+@pytest.mark.parametrize("kind", ["point", "line"])
+def test_a_spec_over_the_digit_limit_is_bad(kind, spec):
+    parse = PLANE.parse_point if kind == "point" else PLANE.parse_line
+    with pytest.raises(ValueError, match="^" + re.escape(f"bad {kind} spec {spec!r}") + "$"):
+        parse(spec)
+
+
 def test_collinear():
     p = PLANE.points
     assert collinear(p[0], p[1], p[2])  # all on x0 = 0
@@ -167,6 +199,12 @@ def test_every_five_points_contain_a_collinear_triple():
     for combo in itertools.combinations(PLANE.points, 5):
         triple = collinear_triple_in(combo)
         assert collinear(*triple)
+
+
+@pytest.mark.parametrize("indices", [(0, 1, 2, 3), (0, 0, 1, 4, 8), (0, 1, 2, 3, 4, 5)])
+def test_collinear_triple_in_needs_five_distinct_points(indices):
+    with pytest.raises(ValueError, match="^expected five distinct points$"):
+        collinear_triple_in([PLANE.points[i] for i in indices])
 
 
 def test_four_point_arcs_exist():

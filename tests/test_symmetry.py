@@ -354,9 +354,10 @@ def test_group_order_of_s12_and_a12():
 
 
 def test_group_order_adds_strong_generators_at_every_level(autos):
-    # coset leaders 1 and 6 of point 0 at U = #4; a Schreier-Sims that
-    # adds a new strong generator only at the level its sift stopped at
-    # reads 1280 for this group
+    # coset leaders 1 and 6 of point 0 at U = #4: down the base 0..3,
+    # _generated_order finds orbits of 10, 9, 8 and 2 points from 2, 8, 14
+    # and 1 generators, each level's from the Schreier generators of the
+    # level above, and 10 * 9 * 8 * 2 = 1440
     pair = (
         (1, 0, 2, 3, 4, 5, 9, 8, 7, 6, 11, 10),
         (6, 0, 1, 2, 3, 9, 8, 4, 7, 5, 10, 11),
@@ -489,6 +490,17 @@ def test_elliptic_involution(model, lines_through_u):
         elliptic_involution(g, model.u, model.u)
 
 
+def test_elliptic_involution_messages(model, lines_through_u):
+    g = lines_through_u[0]
+    off = next(p for p in PLANE.points if p.index not in g.points)
+    with pytest.raises(ValueError, match="^both points must lie on the line$"):
+        elliptic_involution(g, off, model.u)
+    with pytest.raises(ValueError, match="^both points must lie on the line$"):
+        elliptic_involution(g, model.u, off)
+    with pytest.raises(ValueError, match="^the two swapped points must differ$"):
+        elliptic_involution(g, model.u, model.u)
+
+
 def test_extend_identity_affinity(model, lines_through_u):
     g = lines_through_u[0]
     kappa, beta = extend_affinity(model, g, identity_perm(9))
@@ -504,6 +516,15 @@ def test_extend_affinity_rejects_non_affinities(model, lines_through_u):
     )
     with pytest.raises(ValueError):
         extend_affinity(model, g, tuple(bad))
+
+
+def test_extend_affinity_input_messages(model, lines_through_u):
+    off = next(g for g in PLANE.lines if model.u.index not in g.points)
+    with pytest.raises(ValueError, match="^the line must pass through U$"):
+        extend_affinity(model, off, identity_perm(9))
+    for alpha in ((0,) * 9, identity_perm(8), identity_perm(10)):
+        with pytest.raises(ValueError, match=r"^alpha must be a permutation of 0\.\.8$"):
+            extend_affinity(model, lines_through_u[0], alpha)
 
 
 def test_extend_affinity_against_the_whole_group(model, lines_through_u, autos):
@@ -665,4 +686,10 @@ def test_extension_formula_on_every_line(model, lines_through_u):
 def test_extension_formula_requires_line_through_u(model):
     off = next(g for g in PLANE.lines if model.u.index not in g.points)
     with pytest.raises(ValueError):
+        verify_extension_formula(model, off)
+
+
+def test_extension_formula_message_for_a_line_off_u(model):
+    off = next(g for g in PLANE.lines if model.u.index not in g.points)
+    with pytest.raises(ValueError, match="^the line must pass through U$"):
         verify_extension_formula(model, off)
